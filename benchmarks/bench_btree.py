@@ -3,7 +3,7 @@
 Not a paper figure — the paper buys this layer off the shelf — but a
 repo that ships its own B+tree should publish its numbers: sequential
 and random insert, point lookup, range scan, and the cost of a
-thrashing buffer pool.
+thrashing buffer pool, and a batched load.
 """
 
 import pytest
@@ -86,15 +86,15 @@ def test_prefix_scan(benchmark, loaded):
     benchmark.pedantic(scan, rounds=3, iterations=1)
 
 
-def test_bulk_load(benchmark, tmp_path):
-    from repro.storage.btree import BPlusTree as Tree
-
+def test_batched_load(benchmark, tmp_path):
+    """The same N records as one ``write_batch``: a bulk load."""
     items = [(f"key{i:08d}".encode(), f"value-{i}".encode()) for i in range(N)]
     counter = iter(range(100))
 
     def load():
         file = PagedFile(str(tmp_path / f"bl{next(counter)}.db"), SystemStats())
-        tree = Tree.bulk_load(BufferPool(file, capacity=256), items)
+        tree = BPlusTree(BufferPool(file, capacity=256))
+        tree.write_batch(items)
         assert tree.get(items[-1][0]) is not None
         file.close()
 

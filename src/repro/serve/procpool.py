@@ -662,7 +662,9 @@ class ProcessTransformPool:
             _, _req_id, xml, meta = reply
             self._apply_meta(task, meta)
             self._event("serve.completed")
-            self._finish_trace(task)
+            # The trace stays open: whoever consumes the future (the
+            # serve loop's responder, transform_many) finishes it once
+            # the response is serialized, as with the thread pool.
             # Stream requests resolve to the rendered text (matching the
             # thread pool); batch requests to a result object.
             self._set_result(

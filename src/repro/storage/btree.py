@@ -3,9 +3,12 @@
 This is the reproduction's stand-in for BerkeleyDB JE: an embedded,
 ordered map from byte-string keys to byte-string values, stored in
 fixed-size pages.  Leaves are chained for range scans; internal nodes
-hold separator keys.  Inserts split full nodes bottom-up; deletes are
-lazy (no rebalancing — the paper's workload is write-once shredding
-followed by scans, and lazy deletion keeps the code honest and small).
+hold separator keys.  Every write is a batch (:meth:`BPlusTree.write_batch`;
+``put`` and ``delete`` are one-entry batches): the key-sorted run is
+merged top-down, each touched node is decoded and encoded once, and
+oversized nodes split bottom-up.  Deletes are lazy (no rebalancing — the
+paper's workload is write-once shredding followed by scans, and lazy
+deletion keeps the code honest and small).
 
 Values must fit in a page (callers chunk large values; see
 :mod:`repro.storage.tables`).  Page 0 of the file is the tree's meta
@@ -15,7 +18,9 @@ page holding the root pointer.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import StorageError
 from repro.storage.pages import PAGE_SIZE, BufferPool
@@ -59,8 +64,8 @@ class BPlusTree:
     # -- reads ----------------------------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
-        node, _path = self._descend(key)
-        index = _find(node.keys, key)
+        node = self._descend(key)
+        index = bisect_left(node.keys, key)
         if index < len(node.keys) and node.keys[index] == key:
             return node.values[index]
         return None
@@ -72,8 +77,8 @@ class BPlusTree:
         self, start: bytes = b"", stop: Optional[bytes] = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """All entries with ``start <= key < stop`` in key order."""
-        node, _path = self._descend(start)
-        index = _find(node.keys, start)
+        node = self._descend(start)
+        index = bisect_left(node.keys, start)
         while True:
             while index < len(node.keys):
                 key = node.keys[index]
@@ -163,19 +168,46 @@ class BPlusTree:
     # -- writes ----------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
-        """Insert or replace.
+        """Insert or replace (a one-entry :meth:`write_batch`)."""
+        self.write_batch([(key, value)])
+
+    def delete(self, key: bytes) -> bool:
+        """Remove a key (lazy: leaves may become sparse)."""
+        return self.write_batch([(key, None)]) == 1
+
+    def write_batch(self, entries: Iterable[tuple[bytes, Optional[bytes]]]) -> int:
+        """Apply ``(key, value)`` puts and ``(key, None)`` deletes at once.
+
+        The entries are sorted by key (stably, so among entries for one
+        key the last one wins: a put after a delete of the same key
+        stores the put).  The sorted run is then merged top-down in one
+        walk: it is partitioned among each node's children by separator,
+        every touched node is decoded once and written at most once
+        (splitting into as many pages as it needs; a node the run leaves
+        unchanged is not rewritten), and promotions propagate up as one
+        list per node.  Batching into an empty tree is a bulk load.
+        Returns how many stored keys the deletes removed.
 
         Runs under the pool lock so an in-process reader (a
         :class:`~repro.serve.TransformPool` worker descending the tree)
         never observes a half-finished split: descents deserialize node
         copies, and both sides serialize on the same re-entrant lock.
         """
-        if len(key) + len(value) > MAX_ENTRY:
-            raise StorageError(
-                f"entry too large ({len(key)}+{len(value)} bytes > {MAX_ENTRY})"
-            )
+        batch: list[tuple[bytes, Optional[bytes]]] = []
+        for entry in sorted(entries, key=_entry_key):
+            key, value = entry
+            if value is not None and len(key) + len(value) > MAX_ENTRY:
+                raise StorageError(
+                    f"entry too large ({len(key)}+{len(value)} bytes > {MAX_ENTRY})"
+                )
+            if batch and batch[-1][0] == key:
+                batch[-1] = entry
+            else:
+                batch.append(entry)
+        if not batch:
+            return 0
         with self.pool.locked():
-            promotions = self._insert(self._root, key, value)
+            promotions, removed = self._merge(self._root, batch, 0, len(batch))
             while promotions:
                 old_root = self._root
                 new_root = self.pool.allocate()
@@ -187,97 +219,51 @@ class BPlusTree:
                 )
                 promotions = self._store_with_split(new_root, node)
                 self._set_root(new_root)
+        return removed
 
-    def delete(self, key: bytes) -> bool:
-        """Remove a key (lazy: leaves may become sparse)."""
-        with self.pool.locked():
-            node, path = self._descend(key)
-            index = _find(node.keys, key)
-            if index >= len(node.keys) or node.keys[index] != key:
-                return False
-            del node.keys[index]
-            del node.values[index]
-            _write_node(self.pool, path[-1], node)
-            return True
+    def _merge(
+        self, page_id: int, batch: list, low: int, high: int
+    ) -> tuple[list[tuple[bytes, int]], int]:
+        """Merge ``batch[low:high]`` into the subtree at ``page_id``.
 
-    @classmethod
-    def bulk_load(cls, pool: BufferPool, items) -> "BPlusTree":
-        """Build a tree bottom-up from sorted unique (key, value) pairs.
-
-        The classic bulk-loading shortcut: pack leaves left to right at
-        ~full occupancy, then build each internal level over the one
-        below — no top-down descents, no splits, every page written
-        once.  The pool's file must be fresh (no pages yet).
-
-        Raises :class:`StorageError` on an out-of-order or duplicate
-        key, or when the file already contains data.
+        Returns the (separator, page) promotions for the parent and the
+        number of keys deleted.  A node the run leaves unchanged is not
+        rewritten.
         """
-        if pool.file.page_count != 0:
-            raise StorageError("bulk_load needs a fresh file")
-        meta = pool.allocate()
-        assert meta == 0
-
-        # Level 0: pack leaves.
-        leaf_entries: list[tuple[bytes, int]] = []  # (first key, page id)
-        node = _Node(_LEAF, _NO_PAGE, [], [])
-        page_id = pool.allocate()
-        previous_key: Optional[bytes] = None
-        previous_page: Optional[int] = None
-        for key, value in items:
-            if previous_key is not None and key <= previous_key:
-                raise StorageError(
-                    f"bulk_load input not strictly sorted at key {key!r}"
-                )
-            previous_key = key
-            if len(key) + len(value) > MAX_ENTRY:
-                raise StorageError("entry too large for bulk_load")
-            entry_size = 2 + len(key) + 2 + len(value)
-            if node.keys and node.serialized_size() + entry_size > PAGE_SIZE:
-                next_page = pool.allocate()
-                node.next_leaf = next_page
-                _write_node(pool, page_id, node)
-                leaf_entries.append((node.keys[0], page_id))
-                node = _Node(_LEAF, _NO_PAGE, [], [])
-                page_id = next_page
-            node.keys.append(key)
-            node.values.append(value)
-        _write_node(pool, page_id, node)
-        leaf_entries.append((node.keys[0] if node.keys else b"", page_id))
-
-        # Upper levels: one separator per child after the first.
-        level = leaf_entries
-        while len(level) > 1:
-            upper: list[tuple[bytes, int]] = []
-            node = _Node(_INTERNAL, level[0][1], [], [])
-            page_id = pool.allocate()
-            first_key = level[0][0]
-            for key, child in level[1:]:
-                entry_size = 2 + len(key) + 4
-                if node.keys and node.serialized_size() + entry_size > PAGE_SIZE:
-                    _write_node(pool, page_id, node)
-                    upper.append((first_key, page_id))
-                    node = _Node(_INTERNAL, child, [], [])
-                    page_id = pool.allocate()
-                    first_key = key
-                    continue
-                node.keys.append(key)
-                node.values.append(child)
-            _write_node(pool, page_id, node)
-            upper.append((first_key, page_id))
-            level = upper
-
-        tree = cls.__new__(cls)
-        tree.pool = pool
-        buffer = pool.get(0)
-        _META.pack_into(buffer, 0, _META_MAGIC, level[0][1])
-        pool.mark_dirty(0)
-        tree._root = level[0][1]
-        return tree
+        node = _read_node(self.pool, page_id)
+        if node.kind == _LEAF:
+            removed = _merge_leaf(node, batch, low, high)
+            if removed < 0:
+                return [], 0
+            return self._store_with_split(page_id, node), removed
+        removed = 0
+        promoted: list[tuple[int, list[tuple[bytes, int]]]] = []
+        start = low
+        while start < high:
+            # Child ``slot`` holds keys in [keys[slot - 1], keys[slot]).
+            slot = bisect_right(node.keys, batch[start][0])
+            stop = high
+            if slot < len(node.keys):
+                stop = bisect_left(batch, node.keys[slot], start, high, key=_entry_key)
+            child = node.child0 if slot == 0 else node.values[slot - 1]
+            promotions, child_removed = self._merge(child, batch, start, stop)
+            removed += child_removed
+            if promotions:
+                promoted.append((slot, promotions))
+            start = stop
+        if not promoted:
+            return [], removed
+        # A child's promotions go right after its own entry; inserting
+        # right to left keeps the earlier slots' positions valid.
+        for slot, promotions in reversed(promoted):
+            node.keys[slot:slot] = [separator for separator, _ in promotions]
+            node.values[slot:slot] = [page for _, page in promotions]
+        return self._store_with_split(page_id, node), removed
 
     # -- descent -----------------------------------------------------------------
 
-    def _descend(self, key: bytes) -> tuple["_Node", list[int]]:
-        """The leaf responsible for ``key`` plus the page-id path to it.
+    def _descend(self, key: bytes) -> "_Node":
+        """The leaf responsible for ``key``.
 
         The whole root-to-leaf walk holds the pool lock, so a concurrent
         in-process writer's split can never be observed mid-way (child
@@ -287,35 +273,16 @@ class BPlusTree:
         never aliases a buffer a writer might rewrite.
         """
         with self.pool.locked():
-            page_id = self._root
-            path = [page_id]
-            node = _read_node(self.pool, page_id)
+            depth = 1
+            node = _read_node(self.pool, self._root)
             while node.kind == _INTERNAL:
-                page_id = node.child_for(key)
-                path.append(page_id)
-                node = _read_node(self.pool, page_id)
+                depth += 1
+                node = _read_node(self.pool, node.child_for(key))
         metrics = self.pool.stats.metrics
         if metrics is not None:
             # Logical page reads (the pool decides physical vs cached).
-            metrics.inc("btree.page_reads", len(path))
-        return node, path
-
-    def _insert(self, page_id: int, key: bytes, value: bytes) -> list[tuple[bytes, int]]:
-        node = _read_node(self.pool, page_id)
-        if node.kind == _LEAF:
-            index = _find(node.keys, key)
-            if index < len(node.keys) and node.keys[index] == key:
-                node.values[index] = value
-            else:
-                node.keys.insert(index, key)
-                node.values.insert(index, value)
-            return self._store_with_split(page_id, node)
-        child = node.child_for(key)
-        for separator, right_page in self._insert(child, key, value):
-            index = _find(node.keys, separator)
-            node.keys.insert(index, separator)
-            node.values.insert(index, right_page)
-        return self._store_with_split(page_id, node)
+            metrics.inc("btree.page_reads", depth)
+        return node
 
     def _store_with_split(self, page_id: int, node: "_Node") -> list[tuple[bytes, int]]:
         """Write ``node``, splitting into as many pages as needed.
@@ -375,9 +342,7 @@ class _Node:
         self.values = values
 
     def child_for(self, key: bytes) -> int:
-        index = _find(self.keys, key)
-        if index < len(self.keys) and self.keys[index] == key:
-            index += 1
+        index = bisect_right(self.keys, key)
         if index == 0:
             return self.child0
         return self.values[index - 1]
@@ -430,16 +395,48 @@ def _partition(node: "_Node") -> list[tuple[list, list]]:
     return groups
 
 
-def _find(keys: list[bytes], key: bytes) -> int:
-    """Leftmost insertion point (bisect_left)."""
-    low, high = 0, len(keys)
-    while low < high:
-        middle = (low + high) // 2
-        if keys[middle] < key:
-            low = middle + 1
+_entry_key = itemgetter(0)
+
+
+def _merge_leaf(node: _Node, batch: list, low: int, high: int) -> int:
+    """Merge the sorted run ``batch[low:high]`` into a decoded leaf.
+
+    Returns how many stored keys the run deleted, or -1 when the run
+    changed nothing (every entry a delete of an absent key or a put of
+    the bytes already stored), so the page need not be rewritten.
+    """
+    keys, values = node.keys, node.values
+    merged_keys: list[bytes] = []
+    merged_values: list[bytes] = []
+    changed = False
+    removed = 0
+    index = 0
+    for position in range(low, high):
+        key, value = batch[position]
+        found = bisect_left(keys, key, index)
+        merged_keys += keys[index:found]
+        merged_values += values[index:found]
+        index = found
+        if index < len(keys) and keys[index] == key:
+            index += 1
+            if value is None:
+                removed += 1
+                changed = True
+                continue
+            # Rewriting a record with its own bytes changes nothing.
+            changed = changed or value != values[index - 1]
+        elif value is None:
+            continue
         else:
-            high = middle
-    return low
+            changed = True
+        merged_keys.append(key)
+        merged_values.append(value)
+    if not changed:
+        return -1
+    merged_keys += keys[index:]
+    merged_values += values[index:]
+    node.keys, node.values = merged_keys, merged_values
+    return removed
 
 
 def _read_node(pool: BufferPool, page_id: int) -> _Node:
@@ -463,6 +460,9 @@ def _read_node(pool: BufferPool, page_id: int) -> _Node:
             offset += 4
             values.append(child)
     pool.stats.charge_cpu(count)
+    metrics = pool.stats.metrics
+    if metrics is not None:
+        metrics.inc("btree.node_decodes")
     return _Node(kind, link, keys, values)
 
 
@@ -487,6 +487,9 @@ def _write_node(pool: BufferPool, page_id: int, node: _Node) -> None:
     buffer[offset:] = bytes(PAGE_SIZE - offset)
     pool.mark_dirty(page_id)
     pool.stats.charge_cpu(len(node.keys))
+    metrics = pool.stats.metrics
+    if metrics is not None:
+        metrics.inc("btree.node_encodes")
 
 
 def _prefix_upper_bound(prefix: bytes) -> Optional[bytes]:

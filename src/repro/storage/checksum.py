@@ -17,6 +17,7 @@ paid only at physical I/O (buffer-pool hits never touch it).
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 from repro.errors import ChecksumError
 
@@ -76,6 +77,22 @@ def page_crc(page_id: int, payload: bytes) -> int:
 def seal_page(page_id: int, payload: bytes) -> bytes:
     """The payload with its trailer appended: one on-disk slot."""
     return payload + _TRAILER.pack(TRAILER_MAGIC, page_crc(page_id, payload))
+
+
+def seal_zero_page(page_id: int, size: int) -> bytes:
+    """``seal_page(page_id, bytes(size))``, without hashing the zeros again.
+
+    The CRC of the zero payload is computed once per size; each page
+    then only extends it with its 4-byte id.
+    """
+    return bytes(size) + _TRAILER.pack(
+        TRAILER_MAGIC, crc32c(page_id.to_bytes(4, "little"), _zero_crc(size))
+    )
+
+
+@lru_cache(maxsize=8)
+def _zero_crc(size: int) -> int:
+    return crc32c(bytes(size))
 
 
 def verify_page(path: str, page_id: int, slot: bytes) -> bytes:

@@ -536,16 +536,14 @@ class Database:
         doc_id: int = descriptor["doc_id"]
         self.plan_cache.invalidate(self.index(name).fingerprint)
         prefix = doc_id.to_bytes(4, "big")
-        deleted = 0
+        batch: list[tuple[bytes, None]] = [(tables.catalog_key(name), None)]
         for keyspace in (b"N", b"S", b"T", b"G", b"V"):
-            victims = [key for key, _value in self.tree.scan_prefix(keyspace + prefix)]
-            for key in victims:
-                self.tree.delete(key)
-            deleted += len(victims)
-        self.tree.delete(tables.catalog_key(name))
+            for key, _value in self.tree.scan_prefix(keyspace + prefix):
+                batch.append((key, None))
+        deleted = self.tree.write_batch(batch)
         self._indexes.pop(name, None)
         self.pool.flush()
-        return deleted + 1
+        return deleted
 
     # -- observability ---------------------------------------------------------------
 

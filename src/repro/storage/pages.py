@@ -36,6 +36,7 @@ from repro.storage.checksum import (
     TRAILER_SIZE,
     page_crc,
     seal_page,
+    seal_zero_page,
     verify_page,
 )
 from repro.storage.stats import SystemStats
@@ -122,7 +123,7 @@ class PagedFile:
         FAULTS.fire("pages.allocate")
         page_id = self._page_count
         self._page_count += 1
-        os.pwrite(self._fd, seal_page(page_id, bytes(PAGE_SIZE)), page_id * SLOT_SIZE)
+        os.pwrite(self._fd, seal_zero_page(page_id, PAGE_SIZE), page_id * SLOT_SIZE)
         self.stats.block_write()
         return page_id
 

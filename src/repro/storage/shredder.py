@@ -19,10 +19,16 @@ from repro.xmltree.node import XmlForest
 
 
 def shred(tree: BPlusTree, doc_id: int, name: str, forest: XmlForest) -> dict:
-    """Write a forest's tables; returns the catalog descriptor."""
+    """Write a forest's tables; returns the catalog descriptor.
+
+    Every record goes into one batch (:meth:`BPlusTree.write_batch`),
+    so each touched page is decoded and encoded once.  The catalog
+    entry, which records how long that took, follows as one ``put``.
+    """
     with obs.span("storage.shred", document=name) as shred_span:
         builder = DataGuideBuilder().build(forest)
 
+        batch: list[tuple[bytes, bytes]] = []
         by_type: dict[int, list[NodeRecord]] = {}
         node_count = 0
         text_bytes = 0
@@ -30,9 +36,11 @@ def shred(tree: BPlusTree, doc_id: int, name: str, forest: XmlForest) -> dict:
             for node in forest.iter_nodes():
                 data_type = builder.type_of[id(node)]
                 text_bytes += len(node.text)
-                inline, overflow = tables.write_text(tree, doc_id, node.dewey, node.text)
+                inline, overflow = tables.text_entries(batch, doc_id, node.dewey, node.text)
                 record = NodeRecord(node.dewey, data_type.type_id, node.kind, inline, overflow)
-                tree.put(tables.node_key(doc_id, node.dewey), tables.encode_node_value(record))
+                batch.append(
+                    (tables.node_key(doc_id, node.dewey), tables.encode_node_value(record))
+                )
                 by_type.setdefault(data_type.type_id, []).append(record)
                 node_count += 1
         tree.pool.stats.charge_cpu(node_count * 4)
@@ -40,20 +48,25 @@ def shred(tree: BPlusTree, doc_id: int, name: str, forest: XmlForest) -> dict:
         with obs.span("storage.shred.sequences"):
             for type_id, records in by_type.items():
                 for chunk_no, chunk in enumerate(tables.pack_sequence(records)):
-                    tree.put(tables.sequence_key(doc_id, type_id, chunk_no), chunk)
+                    batch.append((tables.sequence_key(doc_id, type_id, chunk_no), chunk))
                 # GroupedSequence: the same nodes keyed for per-parent grouping.
                 # For root-path types document order already groups children
                 # under their parent, so the payload is the (parent, node) pair
                 # stream in that order.
                 grouped = _pack_grouped(records)
                 for chunk_no, chunk in enumerate(grouped):
-                    tree.put(tables.grouped_key(doc_id, type_id, chunk_no), chunk)
+                    batch.append((tables.grouped_key(doc_id, type_id, chunk_no), chunk))
+
+        shape_descriptor = _shape_descriptor(builder)
+        for chunk_no, chunk in enumerate(tables.encode_shape(shape_descriptor)):
+            batch.append((tables.shape_key(doc_id, chunk_no), chunk))
+        with obs.span("storage.shred.write", entries=len(batch)):
+            tree.write_batch(batch)
 
         obs.count("shred.nodes", node_count)
         obs.count("shred.text_bytes", text_bytes)
         shred_span.annotate(nodes=node_count, text_bytes=text_bytes)
 
-    shape_descriptor = _shape_descriptor(builder)
     descriptor = {
         "doc_id": doc_id,
         "name": name,
@@ -66,9 +79,6 @@ def shred(tree: BPlusTree, doc_id: int, name: str, forest: XmlForest) -> dict:
         "shape_fingerprint": shape_fingerprint(shape_descriptor),
         "shred_seconds": shred_span.duration,
     }
-    shape_chunks = tables.encode_shape(descriptor["shape"])
-    for chunk_no, chunk in enumerate(shape_chunks):
-        tree.put(tables.shape_key(doc_id, chunk_no), chunk)
     catalog = dict(descriptor)
     del catalog["shape"]  # the shape lives in its own (chunked) records
     tree.put(tables.catalog_key(name), tables.encode_shape(catalog)[0])

@@ -106,14 +106,17 @@ class NodeRecord:
     overflow_chunks: int = 0  # > 0 when text lives in the overflow keyspace
 
 
-def write_text(tree: BPlusTree, doc_id: int, dewey: Dewey, text: str) -> tuple[str, int]:
-    """Store long text in overflow; returns (inline text, chunk count)."""
+def text_entries(
+    batch: list[tuple[bytes, bytes]], doc_id: int, dewey: Dewey, text: str
+) -> tuple[str, int]:
+    """Queue long text's overflow chunks as ``batch`` entries; returns
+    (inline text, chunk count)."""
     raw = text.encode()
     if len(raw) <= INLINE_TEXT:
         return text, 0
     chunks = [raw[i : i + CHUNK_BYTES] for i in range(0, len(raw), CHUNK_BYTES)]
     for number, chunk in enumerate(chunks):
-        tree.put(overflow_key(doc_id, dewey, number), chunk)
+        batch.append((overflow_key(doc_id, dewey, number), chunk))
     return "", len(chunks)
 
 
@@ -199,11 +202,6 @@ def encode_shape(descriptor: dict) -> list[bytes]:
 
 def decode_shape(chunks: list[bytes]) -> dict:
     return json.loads(b"".join(chunks).decode())
-
-
-def store_chunks(tree: BPlusTree, keys: Iterator[bytes] | list[bytes], chunks: list[bytes]) -> None:
-    for key, chunk in zip(keys, chunks):
-        tree.put(key, chunk)
 
 
 def load_chunks(tree: BPlusTree, prefix: bytes) -> list[bytes]:

@@ -373,6 +373,7 @@ class IncrementalUpdater:
 
     def _remove_subtree(self, root: Dewey) -> int:
         records = self._scan_subtree(root)
+        batch: list[tuple[bytes, None]] = []
         for record in records:
             seq = self._touch(record.type_id)
             index = bisect_left(seq, record.dewey.parts, key=_parts_key)
@@ -385,8 +386,9 @@ class IncrementalUpdater:
             self._count_changed.add(record.type_id)
             self.text_bytes -= len(tables.read_text(self.tree, self.doc_id, record))
             for number in range(record.overflow_chunks):
-                self.tree.delete(tables.overflow_key(self.doc_id, record.dewey, number))
-            self.tree.delete(tables.node_key(self.doc_id, record.dewey))
+                batch.append((tables.overflow_key(self.doc_id, record.dewey, number), None))
+            batch.append((tables.node_key(self.doc_id, record.dewey), None))
+        self.tree.write_batch(batch)
         self.node_count -= len(records)
         self.result.nodes_removed += len(records)
         return len(records)
@@ -394,22 +396,24 @@ class IncrementalUpdater:
     def _shift_subtree(self, old_root: Dewey, new_root: Dewey) -> None:
         """Renumber a whole subtree: ``old_root`` prefix → ``new_root``.
 
-        All old keys are deleted before any new key is written, so a
-        shift never collides with itself; callers order sibling shifts
-        (descending for up-shifts, ascending for down-shifts) so shifts
-        never collide with each other.
+        The old keys' deletes and the new keys' puts form one batch, in
+        which a put wins over a delete of the same key, so a shift never
+        collides with itself; callers order sibling shifts (descending
+        for up-shifts, ascending for down-shifts) so shifts never
+        collide with each other.
         """
         records = self._scan_subtree(old_root)
         depth = len(old_root.parts)
+        batch: list[tuple[bytes, Optional[bytes]]] = []
         overflow: dict[tuple, list[bytes]] = {}
         for record in records:
-            self.tree.delete(tables.node_key(self.doc_id, record.dewey))
+            batch.append((tables.node_key(self.doc_id, record.dewey), None))
             if record.overflow_chunks:
                 chunks = []
                 for number in range(record.overflow_chunks):
                     key = tables.overflow_key(self.doc_id, record.dewey, number)
                     chunks.append(self.tree.get(key) or b"")
-                    self.tree.delete(key)
+                    batch.append((key, None))
                 overflow[record.dewey.parts] = chunks
         for record in records:
             new_dewey = Dewey(new_root.parts + record.dewey.parts[depth:])
@@ -427,14 +431,12 @@ class IncrementalUpdater:
             # so a moved dewey never collides with an unmoved one.
             del seq[index]
             insort(seq, moved, key=_parts_key)
-            self.tree.put(
-                tables.node_key(self.doc_id, new_dewey),
-                tables.encode_node_value(moved),
+            batch.append(
+                (tables.node_key(self.doc_id, new_dewey), tables.encode_node_value(moved))
             )
             for number, chunk in enumerate(overflow.get(record.dewey.parts, ())):
-                self.tree.put(
-                    tables.overflow_key(self.doc_id, new_dewey, number), chunk
-                )
+                batch.append((tables.overflow_key(self.doc_id, new_dewey, number), chunk))
+        self.tree.write_batch(batch)
         self.result.nodes_renumbered += len(records)
 
     def _type_for(self, path: tuple[str, ...]) -> int:
@@ -452,6 +454,7 @@ class IncrementalUpdater:
     def _write_subtree(self, node: XmlNode, base_path: tuple[str, ...]) -> None:
         """Stage a numbered, detached subtree's records (no sibling shifts)."""
         limit = tables._COMPONENT_MAX
+        batch: list[tuple[bytes, bytes]] = []
         for vertex in node.iter_subtree():
             if vertex.dewey.parts[-1] > limit:
                 raise StorageError(
@@ -460,13 +463,12 @@ class IncrementalUpdater:
                 )
             path = base_path + vertex.type_path()
             type_id = self._type_for(path)
-            inline, overflow = tables.write_text(
-                self.tree, self.doc_id, vertex.dewey, vertex.text
+            inline, overflow = tables.text_entries(
+                batch, self.doc_id, vertex.dewey, vertex.text
             )
             record = NodeRecord(vertex.dewey, type_id, vertex.kind, inline, overflow)
-            self.tree.put(
-                tables.node_key(self.doc_id, vertex.dewey),
-                tables.encode_node_value(record),
+            batch.append(
+                (tables.node_key(self.doc_id, vertex.dewey), tables.encode_node_value(record))
             )
             seq = self._touch(type_id)
             insort(seq, record, key=_parts_key)
@@ -475,6 +477,7 @@ class IncrementalUpdater:
             self.node_count += 1
             self.text_bytes += len(vertex.text)
             self.result.nodes_added += 1
+        self.tree.write_batch(batch)
 
     # -- operations --------------------------------------------------------
 
@@ -585,52 +588,42 @@ class IncrementalUpdater:
         }
         rewrite = set(self._dirty_types) | set(remap)
 
+        # 3-6 go to the tree as one batch: in it a put wins over a
+        # delete of the same key, so stale chunks can be deleted
+        # wholesale even where a type moves into another type's old id.
+        batch: list[tuple[bytes, Optional[bytes]]] = []
+
         # 3. Remapped node values: the Nodes records embed the type id.
         for type_id, new_id in remap.items():
             seq = self._sequence(type_id)
             for index, record in enumerate(seq):
                 renamed = replace(record, type_id=new_id)
                 seq[index] = renamed
-                self.tree.put(
-                    tables.node_key(self.doc_id, record.dewey),
-                    tables.encode_node_value(renamed),
+                batch.append(
+                    (tables.node_key(self.doc_id, record.dewey), tables.encode_node_value(renamed))
                 )
 
-        # 4. Sequence chunks: delete every stale key first (old-id space),
-        #    then write every new chunk — two phases, so a type moving
-        #    into another type's old id never collides.
-        for type_id in sorted(rewrite | set(dead)):
+        # 4. Sequence chunks: delete every stale key (old-id space), put
+        #    every new chunk.
+        for type_id in rewrite | set(dead):
             type_key = type_id.to_bytes(4, "big")
             for keyspace in (b"T", b"G"):
-                stale = [
-                    key
-                    for key, _value in self.tree.scan_prefix(
-                        keyspace + self._doc + type_key
-                    )
-                ]
-                for key in stale:
-                    self.tree.delete(key)
-        for type_id in sorted(rewrite):
+                for key, _value in self.tree.scan_prefix(keyspace + self._doc + type_key):
+                    batch.append((key, None))
+        for type_id in rewrite:
             records = self._seqs[type_id]
             new_id = final_id[type_id]
             for chunk_no, chunk in enumerate(tables.pack_sequence(records)):
-                self.tree.put(
-                    tables.sequence_key(self.doc_id, new_id, chunk_no), chunk
-                )
+                batch.append((tables.sequence_key(self.doc_id, new_id, chunk_no), chunk))
             for chunk_no, chunk in enumerate(_pack_grouped(records)):
-                self.tree.put(
-                    tables.grouped_key(self.doc_id, new_id, chunk_no), chunk
-                )
+                batch.append((tables.grouped_key(self.doc_id, new_id, chunk_no), chunk))
 
         # 5. The adorned shape, in final-id space.
         shape_descriptor = self._shape_descriptor(final_id)
-        stale_shape = [
-            key for key, _value in self.tree.scan_prefix(b"S" + self._doc)
-        ]
-        for key in stale_shape:
-            self.tree.delete(key)
+        for key, _value in self.tree.scan_prefix(b"S" + self._doc):
+            batch.append((key, None))
         for chunk_no, chunk in enumerate(tables.encode_shape(shape_descriptor)):
-            self.tree.put(tables.shape_key(self.doc_id, chunk_no), chunk)
+            batch.append((tables.shape_key(self.doc_id, chunk_no), chunk))
 
         # 6. The catalog descriptor (same key order as the shredder's, so
         #    the stored bytes match a re-shred modulo shred_seconds).
@@ -638,9 +631,8 @@ class IncrementalUpdater:
         descriptor["nodes"] = self.node_count
         descriptor["text_bytes"] = self.text_bytes
         descriptor["shape_fingerprint"] = shape_fingerprint(shape_descriptor)
-        self.tree.put(
-            tables.catalog_key(self.name), tables.encode_shape(descriptor)[0]
-        )
+        batch.append((tables.catalog_key(self.name), tables.encode_shape(descriptor)[0]))
+        self.tree.write_batch(batch)
 
         self.result.types_added = len(
             [t for t in self.paths if t not in self._old_type_ids]

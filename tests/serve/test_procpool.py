@@ -239,6 +239,35 @@ class TestTelemetry:
         finally:
             db.close()
 
+    def test_served_request_records_serialize_time(self, stored):
+        import io
+        import json
+
+        from repro.serve import serve_loop
+
+        path, serial = stored
+        db = Database(path, mode="r", durable=False)
+        telemetry = ServeTelemetry(stats=db.stats)
+        requests = "".join(
+            json.dumps({"id": i, "doc": "doc", "guard": GUARD}) + "\n" for i in range(3)
+        )
+        out = io.StringIO()
+        try:
+            with ProcessTransformPool(
+                db, workers=1, inline_threshold=None, telemetry=telemetry
+            ) as pool:
+                serve_loop(db, io.StringIO(requests), out, telemetry=telemetry, pool=pool)
+            responses = [json.loads(line) for line in out.getvalue().splitlines()]
+            assert [r["xml"] for r in responses] == [serial[GUARD]] * 3
+            assert db.stats.events.get("serve.inline_small") is None
+            # The responder serializes after the worker's reply arrives;
+            # the trace must still be open then to record that time.
+            serialize = db.stats.timing_snapshot()["serve.serialize_seconds"]
+            assert serialize.count == 3
+            assert serialize.mean > 0
+        finally:
+            db.close()
+
     def test_remote_plan_cache_outcome_reported(self, stored):
         path, _ = stored
         db = Database(path, mode="r", durable=False)

@@ -133,6 +133,29 @@ class TestChecksums:
         # Incremental == one-shot.
         assert crc32c(b"6789", crc32c(b"12345")) == 0xE3069283
 
+    def test_zero_page_seal_matches_full_seal(self):
+        from repro.storage.checksum import seal_page, seal_zero_page
+
+        for page_id in (0, 1, 2, 255, 256, 4097, 0xFFFFFFFE):
+            assert seal_zero_page(page_id, PAGE_SIZE) == seal_page(
+                page_id, bytes(PAGE_SIZE)
+            )
+
+    def test_allocated_page_passes_verification(self, tmp_path):
+        from repro.storage.checksum import verify_page
+        from repro.storage.pages import SLOT_SIZE
+
+        path = str(tmp_path / "z.db")
+        file = PagedFile(path, SystemStats())
+        for _ in range(3):
+            file.allocate()
+        file.close()
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        for page_id in range(3):
+            slot = raw[page_id * SLOT_SIZE : (page_id + 1) * SLOT_SIZE]
+            assert verify_page(path, page_id, slot) == bytes(PAGE_SIZE)
+
 
 class TestBufferPool:
     def test_cached_read_is_free(self, paged):
