@@ -471,7 +471,42 @@ def _classify(
             )
         )
 
-    # -- 5. resolution drift: XM606 (informational) ------------------------
+    # -- 5. ambiguous pairings: XM607 -------------------------------------
+    # The diff paired these types by root-path order, a heuristic: once
+    # anything changed, the comparisons above may have matched the wrong
+    # vertices, so a guard reading one cannot be promised identical output.
+    for site in new.sites if diff.changes else ():
+        ambiguous = sorted(
+            {path.rsplit(".", 1)[-1] for path in site.resolved} & diff.ambiguous
+        )
+        if not ambiguous:
+            continue
+        degraded = True
+        position = next(
+            i
+            for i, note in enumerate(diff.notes)
+            if note.startswith(f"ambiguous match for {ambiguous[0]!r}")
+        )
+        verdict.diagnostics.append(
+            Diagnostic(
+                "XM607",
+                Severity.WARNING,
+                f"label {site.label!r} reads {', '.join(map(repr, ambiguous))}, "
+                "whose types the shape diff paired ambiguously; the output "
+                "may change even where the compared shapes agree",
+                span=site.span,
+                related=Diagnostic(
+                    "XM607",
+                    Severity.INFO,
+                    diff.notes[position],
+                    span=_evolution_span(evolution_text, len(diff.changes) + position),
+                    source_name="<evolution>",
+                ),
+            )
+        )
+        break
+
+    # -- 6. resolution drift: XM606 (informational) ------------------------
     for old_site, new_site in zip(old.sites, new.sites):
         if not old_site.resolved or not new_site.resolved:
             continue

@@ -9,8 +9,8 @@ writes ``BENCH_parallel.json`` (schema ``xmorph-bench-parallel/v2``).
 v1 of this report measured the thread pool only and was honest about
 what it found: 0.78x *versus serial* at its best, because the render
 loop is pure-Python dict/string work the GIL serializes onto one core.
-v2 measures the fix alongside it — :class:`~repro.serve.
-ProcessTransformPool` forks workers over shared-reader snapshots
+v2 measures the fix alongside it — a process-mode :class:`~repro.serve.
+TransformPool` forks workers over shared-reader snapshots
 (``Database(mode="r")`` + mmap'd page frames), giving each request a
 whole interpreter — and records the interpreter facts that decide which
 executor wins (``python_version``, ``gil_enabled``): on a free-threaded

@@ -5,18 +5,19 @@ shredded store — exactly the workload that parallelizes once snapshot
 reads exist.  This package is the serving layer on top of the
 thread-safe storage/cache substrate:
 
-* :class:`TransformPool` — a bounded thread-pool executor for guard
-  transforms with per-request deadlines (``XM540`` on miss), graceful
+* :class:`TransformPool` — the one bounded executor for guard
+  transforms: per-request deadlines (``XM540`` on miss), graceful
   degradation to serial execution on queue exhaustion, and ``serve.*``
-  counters wired into :mod:`repro.obs` and ``EXPLAIN ANALYZE``; the
-  right executor on free-threaded builds;
-* :class:`ProcessTransformPool` — forked workers over shared-reader
-  snapshots (``Database(mode="r")``) with zero-copy mmap'd page frames,
+  counters wired into :mod:`repro.obs` and ``EXPLAIN ANALYZE``.
+  ``mode="thread"`` runs tasks on threads over the shared handle (the
+  right choice on free-threaded builds); ``mode="process"`` runs them
+  in forked workers over shared-reader snapshots
+  (``Database(mode="r")``) with zero-copy mmap'd page frames,
   plan-cost inline routing, worker respawn and per-process plan-cache
-  warmup; the executor that beats the GIL for pure-Python rendering;
+  warmup — the mode that beats the GIL for pure-Python rendering;
 * :func:`serve_loop` / :func:`serve_forever` — a line-oriented JSON
   request loop (stdin/stdout or TCP) behind ``xmorph serve``, taking
-  either pool flavor (``--mode thread|process``);
+  either mode (``--mode thread|process``);
 * :meth:`Database.transform_many <repro.storage.Database.transform_many>`
   — the batched convenience API.
 
@@ -28,7 +29,6 @@ byte-identical to serial, in every mode.
 
 from repro.serve.pool import TransformPool
 from repro.serve.procpool import (
-    ProcessTransformPool,
     RemoteTransformError,
     RemoteTransformResult,
     plan_cost_estimate,
@@ -44,7 +44,6 @@ from repro.serve.telemetry import RequestTrace, ServeTelemetry, metrics_snapshot
 
 __all__ = [
     "TransformPool",
-    "ProcessTransformPool",
     "RemoteTransformError",
     "RemoteTransformResult",
     "plan_cost_estimate",

@@ -37,7 +37,6 @@ substrate (buffer pool, plan cache, join memos) exists for.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import queue
 import threading
@@ -45,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
-from repro.errors import TransformTimeoutError, XMorphError
+from repro.errors import XMorphError
 from repro.serve.pool import TransformPool
 from repro.serve.telemetry import ServeTelemetry, metrics_snapshot
 
@@ -62,7 +61,7 @@ def make_pool(
     mode: str = "thread",
     **pool_kwargs,
 ):
-    """The right executor for ``mode``: thread or process pool.
+    """A :class:`TransformPool` in ``mode``: ``"thread"`` or ``"process"``.
 
     ``"thread"`` shares the caller's handle (any open mode);
     ``"process"`` forks workers that each reopen the store read-only,
@@ -70,23 +69,12 @@ def make_pool(
     ``StorageError`` otherwise.  See ``docs/CONCURRENCY.md#decision``
     for when each wins.
     """
-    if mode == "process":
-        from repro.serve.procpool import ProcessTransformPool
-
-        return ProcessTransformPool(
-            database,
-            workers=workers,
-            deadline=deadline,
-            telemetry=telemetry,
-            **pool_kwargs,
-        )
-    if mode != "thread":
-        raise ValueError(f"unknown pool mode: {mode!r} (use 'thread' or 'process')")
     return TransformPool(
         database,
         workers=workers,
         deadline=deadline,
         telemetry=telemetry,
+        mode=mode,
         **pool_kwargs,
     )
 
@@ -212,7 +200,7 @@ def serve_loop(
                         writer.write(payload)
                         writer.flush()
                     else:
-                        _respond(writer, stats, request_id, payload, deadline, telemetry)
+                        _respond(writer, stats, request_id, payload, pool, telemetry)
             except BaseException as error:  # noqa: B036 - re-raised by the
                 # reader thread once the queue is drained (see below).
                 failure.append(error)
@@ -284,51 +272,19 @@ def serve_loop(
     return stats
 
 
-def _respond(
-    writer, stats: ServeStats, request_id, future, deadline, telemetry=None
-) -> None:
-    trace = getattr(future, "xmorph_trace", None)
+def _respond(writer, stats: ServeStats, request_id, future, pool, telemetry) -> None:
     try:
-        result = future.result(timeout=deadline)
-    except concurrent.futures.TimeoutError:
-        # The worker finishes in the background; its result is dropped.
-        future.cancel()
-        doc = trace.doc if trace is not None else "?"
-        guard = trace.guard if trace is not None else "?"
-        error = TransformTimeoutError(doc, guard, deadline)
-        stats.errors += 1
-        if trace is not None:
-            trace.fail(error)
-        if telemetry is not None and telemetry.stats is not None:
-            telemetry.stats.event("serve.timeouts")
-            telemetry.stats.event("serve.errors.XM540")
-        _write(
-            writer,
-            {"id": request_id, "ok": False, "error": str(error), "code": error.code},
-        )
-        return
-    except XMorphError as error:
-        stats.errors += 1
-        if trace is not None:
-            trace.fail(error)
-        _write(
-            writer,
-            {
-                "id": request_id,
-                "ok": False,
-                "error": str(error),
-                "code": getattr(error, "code", None),
-            },
-        )
-        return
+        result = pool.result(future)
     except Exception as error:  # noqa: BLE001 - a response, never a crash
+        # The pool already counted the error and failed the trace.
         stats.errors += 1
-        if trace is not None:
-            trace.fail(error)
-        _write(writer, {"id": request_id, "ok": False, "error": str(error)})
-        return
+        response = {"id": request_id, "ok": False, "error": str(error)}
+        if isinstance(error, XMorphError):
+            response["code"] = getattr(error, "code", None)
+        _write(writer, response)
     else:
         stats.ok += 1
+        trace = future.xmorph_trace
         started = time.perf_counter()
         xml = result if isinstance(result, str) else result.xml()
         _write(writer, {"id": request_id, "ok": True, "xml": xml})
@@ -336,7 +292,7 @@ def _respond(
             trace.serialize_seconds = time.perf_counter() - started
     finally:
         if telemetry is not None:
-            telemetry.finish(trace)
+            telemetry.finish(future.xmorph_trace)
 
 
 def _write(writer, payload: dict) -> None:

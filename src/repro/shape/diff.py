@@ -46,6 +46,9 @@ class ShapeDiff:
     #: Pairings the matcher could not prove unique; each note names the
     #: element and the candidate placements that tie-broke by root path.
     notes: list[str] = field(default_factory=list)
+    #: Element names with such a pairing: root-path order is a
+    #: heuristic, so nothing that reads them is provably unchanged.
+    ambiguous: set[str] = field(default_factory=set)
 
     @property
     def moved(self) -> list[TypeChange]:
@@ -102,6 +105,7 @@ def diff_shapes(before: Shape, after: Shape) -> ShapeDiff:
         after_placed = after_keys.get(key, [])
         if len(before_placed) > 1 and len(after_placed) > 1:
             diff.notes.append(_ambiguity_note(name, before_placed, after_placed))
+            diff.ambiguous.add(name)
         for first, second in zip(before_placed, after_placed):
             placement_stable.add(name)
             if first.card != second.card:
@@ -132,6 +136,7 @@ def diff_shapes(before: Shape, after: Shape) -> ShapeDiff:
             placement_changed.add(name)
             if len(before_left) > 1 and len(after_left) > 1:
                 diff.notes.append(_ambiguity_note(name, before_left, after_left))
+                diff.ambiguous.add(name)
             diff.changes.append(
                 TypeChange(
                     "moved",

@@ -59,8 +59,8 @@ class PagedFile:
     A read-only file is additionally **memory-mapped** (``PROT_READ``):
     :meth:`read_page` returns a zero-copy :class:`memoryview` over the
     mapping instead of a heap ``bytearray``.  The mapping is file-backed,
-    so N reader *processes* (a :class:`~repro.serve.ProcessTransformPool`'s
-    forked workers) share one physical copy of every hot page through
+    so N reader *processes* (the forked workers of a process-mode
+    :class:`~repro.serve.TransformPool`) share one physical copy of every hot page through
     the OS page cache — only the small header fields a B+tree node
     decode unpacks are copied per process ("copy-on-read headers").
     The CRC32C trailer is still verified on first touch, directly over

@@ -148,6 +148,24 @@ class TestVerdicts:
         assert drift, "moving book under publisher should be noted"
         assert all(str(d.severity) == "info" for d in drift)
 
+    def test_ambiguous_pairing_degrades_a_guard_reading_it(self):
+        old = "<r><c/><a><a><a>x<b/></a></a></a></r>"
+        new = repro.transform(repro.parse_forest(old), "MUTATE a [ b [ c ] ]").xml()
+        report = analyze_evolution(old, new, {"g": "MORPH a [ c ]"})
+        (verdict,) = report.verdicts
+        # The forced outputs differ (<a><c/></a> vs <a>x<c/></a>), so
+        # root-path pairing of the recursive 'a' chain must not be
+        # promised compatible.
+        assert report.diff.ambiguous == {"a"}
+        assert verdict.verdict == VERDICT_DEGRADED
+        (warning,) = [d for d in verdict.diagnostics if d.code == "XM607"]
+        assert str(warning.severity) == "warning"
+        assert warning.related is not None
+        assert "ambiguous match for 'a'" in warning.related.message
+        # A guard that never reads 'a' keeps its verdict.
+        report = analyze_evolution(old, new, {"g": "MORPH c"})
+        assert "XM607" not in codes(report.verdicts[0])
+
     def test_identical_shapes_are_all_compatible_with_no_noise(self):
         report = analyze_evolution(
             FIG1A, FIG1A, {"books": "MORPH book [ title author [ name ] ]"}

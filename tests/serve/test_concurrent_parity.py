@@ -8,7 +8,7 @@ visible in the results.  This suite pins that with Hypothesis-generated
 random forests (200+ examples across the two properties) and with the
 shipped ``examples/guards/`` corpus, for both the batch renderer
 (:meth:`TransformPool.transform_many`) and the streaming renderer
-(:meth:`TransformPool.stream_many`).
+(``TransformPool.submit(..., stream=True)``).
 
 Every example builds a fresh throwaway store: parity must hold from a
 cold cache (the first parallel batch races the single-flight compile)
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.serve import TransformPool
+from repro.serve import pool as pool_module
 from repro.storage import Database
 
 from tests.strategies import documents
@@ -54,6 +55,12 @@ def throwaway_db(forest):
             yield db
         finally:
             db.close()
+
+
+def stream_many(pool, requests):
+    """Stream-render every request on ``pool``; the texts in order."""
+    futures = [pool.submit(name, guard, stream=True) for name, guard in requests]
+    return [future.result() for future in futures]
 
 
 def corpus_guards() -> list[str]:
@@ -107,7 +114,7 @@ class TestFuzzedParity:
                 db.stream_transform("doc", guard, sink)
                 serial[guard] = sink.getvalue()
             with TransformPool(db, workers=WORKERS) as pool:
-                streamed = pool.stream_many(requests)
+                streamed = stream_many(pool, requests)
             for (_name, guard), text in zip(requests, streamed):
                 assert text == serial[guard], (
                     f"parallel stream output diverged from serial for {guard!r}"
@@ -144,7 +151,7 @@ class TestCorpusParity:
             serial[guard] = sink.getvalue()
         requests = [("books", g) for g in guards for _ in range(4)]
         with TransformPool(books_db, workers=WORKERS) as pool:
-            streamed = pool.stream_many(requests)
+            streamed = stream_many(pool, requests)
         for (_name, guard), text in zip(requests, streamed):
             assert text == serial[guard]
 
@@ -175,6 +182,15 @@ class TestCorpusParity:
 
 
 @contextmanager
+def pipe_only(queue_depth):
+    """Every request crosses the pipe, none degrades for a full queue."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pool_module, "INLINE_THRESHOLD", None)
+        patch.setattr(pool_module, "MAX_QUEUE_PER_WORKER", queue_depth)
+        yield
+
+
+@contextmanager
 def throwaway_reader(forest):
     """A store written then reopened read-only (the process pool's diet)."""
     with tempfile.TemporaryDirectory(prefix="xmorph-parity-") as scratch:
@@ -194,7 +210,7 @@ class TestProcessModeParity:
     Fewer examples than the thread-pool properties (each one forks a
     fleet), but the same contract: serial, thread-pool and process-pool
     rendering of Hypothesis-generated forests are byte-identical.
-    ``inline_threshold=None`` forces every request across the pipe —
+    ``INLINE_THRESHOLD = None`` forces every request across the pipe —
     cost routing must never be what makes parity hold.
     """
 
@@ -205,13 +221,11 @@ class TestProcessModeParity:
     )
     @given(documents(max_depth=3, max_children=3))
     def test_process_batch_parity(self, forest):
-        from repro.serve import ProcessTransformPool
-
         requests = [("doc", guard) for guard in FUZZ_GUARDS for _ in range(REPS)]
         with throwaway_reader(forest) as db:
             serial = {guard: db.transform("doc", guard).xml() for guard in FUZZ_GUARDS}
-            with ProcessTransformPool(
-                db, workers=2, inline_threshold=None, max_queue=len(requests)
+            with pipe_only(len(requests)), TransformPool(
+                db, workers=2, mode="process"
             ) as pool:
                 results = pool.transform_many(requests)
             assert len(results) == len(requests)
@@ -227,8 +241,6 @@ class TestProcessModeParity:
     )
     @given(documents(max_depth=3, max_children=3))
     def test_process_stream_parity(self, forest):
-        from repro.serve import ProcessTransformPool
-
         requests = [("doc", guard) for guard in FUZZ_GUARDS for _ in range(REPS)]
         with throwaway_reader(forest) as db:
             serial = {}
@@ -236,10 +248,10 @@ class TestProcessModeParity:
                 sink = StringIO()
                 db.stream_transform("doc", guard, sink)
                 serial[guard] = sink.getvalue()
-            with ProcessTransformPool(
-                db, workers=2, inline_threshold=None, max_queue=len(requests)
+            with pipe_only(len(requests)), TransformPool(
+                db, workers=2, mode="process"
             ) as pool:
-                streamed = pool.stream_many(requests)
+                streamed = stream_many(pool, requests)
             for (_name, guard), text in zip(requests, streamed):
                 assert text == serial[guard], (
                     f"process-pool stream diverged from serial for {guard!r}"

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import TransformTimeoutError
 from repro.serve import ServeStats, TransformPool, serve_forever, serve_loop
+from repro.serve import pool as pool_module
 from repro.storage import Database
 
 from tests.conftest import FIG1A
@@ -64,6 +65,35 @@ class TestDeadlines:
         finally:
             gate.set()
 
+    def test_budget_spent_in_queue_is_refused(self, db):
+        gate = threading.Event()
+        ran = []
+        real = db.transform
+
+        def patched(name, guard):
+            ran.append(guard)
+            if guard == "SLOW":
+                gate.wait(timeout=30)
+            return real(name, GUARD)
+
+        db.transform = patched
+        try:
+            with TransformPool(db, workers=2) as pool:
+                stuck = [pool.submit("doc", "SLOW") for _ in range(2)]
+                while len(ran) < 2:  # both workers parked on the gate
+                    time.sleep(0.01)
+                queued = pool.submit("doc", "QUEUED", deadline=0.05)
+                time.sleep(0.1)
+                gate.set()
+                with pytest.raises(TransformTimeoutError):
+                    queued.result(timeout=30)
+                for future in stuck:
+                    future.result(timeout=30)
+        finally:
+            gate.set()
+        assert "QUEUED" not in ran  # refused without rendering
+        assert db.stats.events.get("serve.errors.XM540") == 1
+
     def test_no_deadline_waits(self, db):
         with TransformPool(db, workers=2) as pool:
             results = pool.transform_many([("doc", GUARD)] * 4)
@@ -72,11 +102,12 @@ class TestDeadlines:
 
 
 class TestDegradation:
-    def test_saturated_queue_runs_inline(self, db):
+    def test_saturated_queue_runs_inline(self, db, monkeypatch):
         gate = threading.Event()
         _slow_transform(db, gate, slow_guard="SLOW")
         try:
-            with TransformPool(db, workers=2, max_queue=2) as pool:
+            monkeypatch.setattr(pool_module, "MAX_QUEUE_PER_WORKER", 1)
+            with TransformPool(db, workers=2) as pool:
                 stuck = [pool.submit("doc", "SLOW") for _ in range(2)]
                 while pool.pending < 2:  # both workers parked on the gate
                     time.sleep(0.01)
@@ -233,16 +264,15 @@ class TestDegradedInlineDeadlines:
             assert pool.submit("doc", GUARD).result().xml()
         assert "serve.timeouts" not in db.stats.events
 
-    def test_saturated_inline_records_histograms(self, db):
+    def test_saturated_inline_records_histograms(self, db, monkeypatch):
         from repro.serve import ServeTelemetry
 
         telemetry = ServeTelemetry(stats=db.stats)
         gate = threading.Event()
         _slow_transform(db, gate, slow_guard="SLOW")
         try:
-            with TransformPool(
-                db, workers=2, max_queue=2, telemetry=telemetry
-            ) as pool:
+            monkeypatch.setattr(pool_module, "MAX_QUEUE_PER_WORKER", 1)
+            with TransformPool(db, workers=2, telemetry=telemetry) as pool:
                 stuck = [pool.submit("doc", "SLOW") for _ in range(2)]
                 while pool.pending < 2:
                     time.sleep(0.01)
@@ -255,9 +285,12 @@ class TestDegradedInlineDeadlines:
                 fast = pool.submit("doc", GUARD)
                 assert fast.done()
                 assert fast.xmorph_trace.degraded
+                # Its consumer finishes the trace once the response is
+                # serialized, as for every route.
+                telemetry.finish(fast.xmorph_trace)
                 after = db.stats.timing_snapshot()
                 # The degraded request's phases landed in the same
-                # histograms the threaded path feeds, immediately.
+                # histograms the threaded path feeds.
                 assert after["serve.request_seconds"].count == before + 1
                 assert after["serve.execute_seconds"].count >= before + 1
                 gate.set()

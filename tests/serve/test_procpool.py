@@ -1,6 +1,6 @@
-"""ProcessTransformPool: parity, routing, crash recovery, deadlines.
+"""The process-mode TransformPool: parity, routing, crash recovery, deadlines.
 
-The process pool's contract mirrors the thread pool's — byte-identical
+Process mode's contract mirrors thread mode's — byte-identical
 output, XM540 deadlines, graceful degradation — plus the properties
 only a multi-process executor has: forked workers over shared-reader
 snapshots, cost-routed inlining, and respawn-on-death with no lost or
@@ -15,8 +15,8 @@ import time
 import pytest
 
 from repro.errors import StorageError, TransformTimeoutError, XMorphError
+from repro.serve import pool as pool_module
 from repro.serve import (
-    ProcessTransformPool,
     RemoteTransformError,
     RemoteTransformResult,
     ServeTelemetry,
@@ -56,6 +56,12 @@ def stored(tmp_path_factory):
 
 
 @pytest.fixture
+def pipe_only(monkeypatch):
+    """Send every request across the pipe: no cost-routed inlining."""
+    monkeypatch.setattr(pool_module, "INLINE_THRESHOLD", None)
+
+
+@pytest.fixture
 def reader(stored):
     path, _ = stored
     db = Database(path, mode="r", durable=False)
@@ -64,34 +70,37 @@ def reader(stored):
 
 
 class TestParity:
-    def test_process_output_byte_identical_to_serial(self, stored, reader):
+    @pytest.mark.usefixtures("pipe_only")
+    def test_process_output_byte_identical_to_serial(self, stored, reader, monkeypatch):
         _, serial = stored
         requests = [("doc", g) for g in GUARDS for _ in range(3)]
-        with ProcessTransformPool(
-            reader, workers=2, inline_threshold=None, max_queue=len(requests)
-        ) as pool:
+        monkeypatch.setattr(pool_module, "MAX_QUEUE_PER_WORKER", len(requests))
+        with TransformPool(reader, workers=2, mode="process") as pool:
             results = pool.transform_many(requests)
         assert len(results) == len(requests)
         for (_, guard), result in zip(requests, results):
             assert isinstance(result, RemoteTransformResult)
             assert result.xml() == serial[guard]
 
+    @pytest.mark.usefixtures("pipe_only")
     def test_stream_parity(self, stored, reader):
         _, serial = stored
-        with ProcessTransformPool(reader, workers=2, inline_threshold=None) as pool:
-            texts = pool.stream_many([("doc", GUARD)] * 4)
+        with TransformPool(reader, workers=2, mode="process") as pool:
+            futures = [pool.submit("doc", GUARD, stream=True) for _ in range(4)]
+            texts = [future.result() for future in futures]
         assert all(isinstance(t, str) for t in texts)
         # Streamed text renders the same elements; pin against the
         # thread pool's streaming output instead of the batch xml().
         with TransformPool(reader, workers=1) as pool:
-            expected = pool.stream_many([("doc", GUARD)])[0]
+            expected = pool.submit("doc", GUARD, stream=True).result()
         assert texts == [expected] * 4
 
+    @pytest.mark.usefixtures("pipe_only")
     def test_thread_and_process_agree(self, reader):
         requests = [("doc", g) for g in GUARDS]
         with TransformPool(reader, workers=4) as pool:
             threaded = [r.xml() for r in pool.transform_many(requests)]
-        with ProcessTransformPool(reader, workers=2, inline_threshold=None) as pool:
+        with TransformPool(reader, workers=2, mode="process") as pool:
             forked = [r.xml() for r in pool.transform_many(requests)]
         assert threaded == forked
 
@@ -101,11 +110,11 @@ class TestRouting:
         with Database(str(tmp_path / "w.db"), durable=False) as db:
             db.store_document("doc", FIG1A)
             with pytest.raises(StorageError, match='mode="r"'):
-                ProcessTransformPool(db)
+                TransformPool(db, mode="process")
 
     def test_tiny_transform_runs_inline(self, reader):
         assert plan_cost_estimate(reader, "tiny", GUARD) <= 32
-        with ProcessTransformPool(reader, workers=2) as pool:
+        with TransformPool(reader, workers=2, mode="process") as pool:
             result = pool.transform_many([("tiny", GUARD)])[0]
         # Inline results are real TransformResults (forest attached),
         # not pipe-serialized remotes.
@@ -114,7 +123,7 @@ class TestRouting:
 
     def test_large_transform_crosses_the_pipe(self, reader):
         assert plan_cost_estimate(reader, "doc", GUARD) > 32
-        with ProcessTransformPool(reader, workers=2) as pool:
+        with TransformPool(reader, workers=2, mode="process") as pool:
             result = pool.transform_many([("doc", GUARD)])[0]
         assert isinstance(result, RemoteTransformResult)
 
@@ -122,20 +131,22 @@ class TestRouting:
         # Estimate 0 for unknown docs: the error is produced on the
         # submitting thread without waking a worker.
         assert plan_cost_estimate(reader, "nope", GUARD) == 0.0
-        with ProcessTransformPool(reader, workers=2) as pool:
+        with TransformPool(reader, workers=2, mode="process") as pool:
             with pytest.raises(XMorphError):
                 pool.transform_many([("nope", GUARD)])
 
+    @pytest.mark.usefixtures("pipe_only")
     def test_worker_error_rehydrates_with_code(self, reader):
-        with ProcessTransformPool(reader, workers=2, inline_threshold=None) as pool:
+        with TransformPool(reader, workers=2, mode="process") as pool:
             with pytest.raises(XMorphError) as excinfo:
                 pool.transform_many([("nope", GUARD)])
         assert isinstance(excinfo.value, RemoteTransformError)
         assert "nope" in str(excinfo.value)
 
+    @pytest.mark.usefixtures("pipe_only")
     def test_no_workers_degrades_serial(self, stored, reader):
         _, serial = stored
-        with ProcessTransformPool(reader, workers=2, inline_threshold=None) as pool:
+        with TransformPool(reader, workers=2, mode="process") as pool:
             # Simulate a fleet that could never be (re)spawned.
             handles, pool._handles = pool._handles, []
             try:
@@ -147,7 +158,7 @@ class TestRouting:
 
     def test_make_pool_dispatch(self, reader):
         with make_pool(reader, workers=2, mode="process") as pool:
-            assert isinstance(pool, ProcessTransformPool)
+            assert isinstance(pool, TransformPool)
             assert pool.mode == "process"
         with make_pool(reader, workers=2, mode="thread") as pool:
             assert isinstance(pool, TransformPool)
@@ -156,10 +167,11 @@ class TestRouting:
 
 
 class TestCrashRecovery:
+    @pytest.mark.usefixtures("pipe_only")
     def test_sigkill_mid_service_respawns_and_loses_nothing(self, stored, reader):
         _, serial = stored
         requests = [("doc", GUARD)] * 8
-        with ProcessTransformPool(reader, workers=2, inline_threshold=None) as pool:
+        with TransformPool(reader, workers=2, mode="process") as pool:
             pool.transform_many([("doc", GUARD)])  # all pipes proven live
             futures = [pool.submit("doc", GUARD) for _ in range(len(requests))]
             # SIGKILL is uncatchable: whatever each worker was doing
@@ -174,9 +186,10 @@ class TestCrashRecovery:
             again = pool.transform_many([("doc", GUARD)])
             assert again[0].xml() == serial[GUARD]
 
+    @pytest.mark.usefixtures("pipe_only")
     def test_respawned_worker_is_rewarmed(self, reader):
-        with ProcessTransformPool(
-            reader, workers=1, inline_threshold=None, warm=[("doc", GUARD)]
+        with TransformPool(
+            reader, workers=1, mode="process", warm=[("doc", GUARD)]
         ) as pool:
             stats = pool.worker_stats()
             assert stats and stats[0]["plan_cache"]["entries"] >= 1
@@ -188,17 +201,19 @@ class TestCrashRecovery:
 
 
 class TestDeadlines:
+    @pytest.mark.usefixtures("pipe_only")
     def test_expired_budget_raises_xm540(self, reader):
-        with ProcessTransformPool(reader, workers=1, inline_threshold=None) as pool:
+        with TransformPool(reader, workers=1, mode="process") as pool:
             future = pool.submit("doc", GUARD, deadline=1e-9)
             with pytest.raises(TransformTimeoutError) as excinfo:
                 future.result(timeout=30)
             assert excinfo.value.code == "XM540"
         assert reader.stats.events.get("serve.timeouts", 0) >= 1
 
+    @pytest.mark.usefixtures("pipe_only")
     def test_stalled_worker_times_out_collector(self, stored, reader):
         _, serial = stored
-        with ProcessTransformPool(reader, workers=1, inline_threshold=None) as pool:
+        with TransformPool(reader, workers=1, mode="process") as pool:
             pool.transform_many([("doc", GUARD)])  # pipe proven live
             pid = pool._handles[0].process.pid
             os.kill(pid, signal.SIGSTOP)
@@ -216,6 +231,7 @@ class TestDeadlines:
 
 
 class TestTelemetry:
+    @pytest.mark.usefixtures("pipe_only")
     def test_worker_traces_merge_into_parent_sinks(self, stored, tmp_path):
         path, _ = stored
         db = Database(path, mode="r", durable=False)
@@ -224,8 +240,8 @@ class TestTelemetry:
             stats=db.stats, trace_sample=1, trace_file=trace_file
         )
         try:
-            with ProcessTransformPool(
-                db, workers=1, inline_threshold=None, telemetry=telemetry
+            with TransformPool(
+                db, workers=1, telemetry=telemetry, mode="process"
             ) as pool:
                 pool.transform_many([("doc", GUARD)] * 2)
             assert telemetry.sampled_traces >= 2
@@ -239,6 +255,7 @@ class TestTelemetry:
         finally:
             db.close()
 
+    @pytest.mark.usefixtures("pipe_only")
     def test_served_request_records_serialize_time(self, stored):
         import io
         import json
@@ -253,8 +270,8 @@ class TestTelemetry:
         )
         out = io.StringIO()
         try:
-            with ProcessTransformPool(
-                db, workers=1, inline_threshold=None, telemetry=telemetry
+            with TransformPool(
+                db, workers=1, telemetry=telemetry, mode="process"
             ) as pool:
                 serve_loop(db, io.StringIO(requests), out, telemetry=telemetry, pool=pool)
             responses = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -268,13 +285,40 @@ class TestTelemetry:
         finally:
             db.close()
 
+    def test_inline_routed_request_records_serialize_time(self, stored):
+        import io
+        import json
+
+        from repro.serve import serve_loop
+
+        path, _ = stored
+        db = Database(path, mode="r", durable=False)
+        telemetry = ServeTelemetry(stats=db.stats)
+        requests = "".join(
+            json.dumps({"id": i, "doc": "tiny", "guard": GUARD}) + "\n" for i in range(3)
+        )
+        out = io.StringIO()
+        try:
+            with TransformPool(db, workers=1, telemetry=telemetry, mode="process") as pool:
+                serve_loop(db, io.StringIO(requests), out, telemetry=telemetry, pool=pool)
+            assert all(json.loads(line)["ok"] for line in out.getvalue().splitlines())
+            assert db.stats.events["serve.inline_small"] == 3
+            # The inline route's trace stays open until the responder
+            # has serialized the response, like a piped request's.
+            serialize = db.stats.timing_snapshot()["serve.serialize_seconds"]
+            assert serialize.count == 3
+            assert serialize.mean > 0
+        finally:
+            db.close()
+
+    @pytest.mark.usefixtures("pipe_only")
     def test_remote_plan_cache_outcome_reported(self, stored):
         path, _ = stored
         db = Database(path, mode="r", durable=False)
         telemetry = ServeTelemetry(stats=db.stats, slow_ms=0.0)
         try:
-            with ProcessTransformPool(
-                db, workers=1, inline_threshold=None, telemetry=telemetry
+            with TransformPool(
+                db, workers=1, telemetry=telemetry, mode="process"
             ) as pool:
                 first = pool.submit("doc", GUARD)
                 first.result(timeout=30)
@@ -294,8 +338,9 @@ class TestResultSurface:
         with pytest.raises(ValueError, match="pre-serialized"):
             result.xml(indent=2)
 
+    @pytest.mark.usefixtures("pipe_only")
     def test_pool_stats_surface(self, reader):
-        with ProcessTransformPool(reader, workers=2, inline_threshold=None) as pool:
+        with TransformPool(reader, workers=2, mode="process") as pool:
             pool.transform_many([("doc", GUARD)])
             stats = pool.stats()
             assert stats["requests"] >= 1

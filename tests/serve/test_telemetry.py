@@ -175,6 +175,15 @@ class TestErrorCounters:
         assert db.stats.events["serve.errors"] == 1
         assert db.stats.events["serve.errors.uncoded"] == 1
 
+    def test_failed_batch_still_records_every_request(self, db):
+        telemetry = ServeTelemetry(stats=db.stats)
+        with TransformPool(db, workers=2, telemetry=telemetry) as pool:
+            with pytest.raises(Exception):
+                pool.transform_many([("doc", "MORPH [[["), ("doc", GUARD), ("doc", GUARD)])
+        # The batch raised its first failure only after every request's
+        # trace was finished, so none is missing from the histograms.
+        assert db.stats.timing_snapshot()["serve.request_seconds"].count == 3
+
     def test_timeout_counts_xm540(self, db):
         import threading
 
