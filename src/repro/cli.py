@@ -821,10 +821,10 @@ def _cmd_db_transform(arguments) -> int:
     with Database(arguments.db) as db:
         if arguments.output is not None:
             with open(arguments.output, "w", encoding="utf-8") as sink:
-                stream_stats = db.stream_transform(arguments.name, arguments.guard, sink)
+                rendered = db.stream_transform(arguments.name, arguments.guard, sink)
             print(
-                f"streamed {stream_stats.nodes_written} nodes "
-                f"({stream_stats.characters} chars) to {arguments.output}"
+                f"streamed {rendered.nodes_written} nodes "
+                f"({rendered.bytes_out} bytes) to {arguments.output}"
             )
         else:
             result = db.transform(arguments.name, arguments.guard)
@@ -976,13 +976,13 @@ def _cmd_bench(arguments) -> int:
         compare = entry.get("render_compare")
         if compare:
             print(
-                f"  render  compiled {compare['compiled_mean_seconds'] * 1000:.2f} ms"
+                f"  render+serialize  compiled {compare['compiled_mean_seconds'] * 1000:.2f} ms"
                 f"  vs interpreted {compare['interpreted_mean_seconds'] * 1000:.2f} ms"
                 f"  ({compare['speedup_mean']:.1f}x)"
             )
     if report.get("render_compiled_speedup"):
         print(
-            f"compiled render speedup (aggregate): "
+            f"compiled render-to-text speedup (aggregate): "
             f"{report['render_compiled_speedup']:.1f}x"
         )
     update = report.get("update_vs_reshred")

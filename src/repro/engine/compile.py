@@ -1,75 +1,81 @@
-"""Plan-time compilation of the Render algorithm (ROADMAP item 3).
+"""Plan-time compilation of the Render algorithm into an XML text emitter.
 
 The batch renderer in :mod:`repro.engine.render` is a faithful but
-interpretive implementation of Section VII: every node copy goes through
-``_make`` (an ``XmlNode`` constructor, a dataclass allocation, two dict
-updates and a per-instance tally), every shape edge re-dispatches on the
-child's kind, and every join re-derives its anchor type at render time.
-None of that dispatch depends on the data — it depends only on the
-*target shape*, which is fixed per ``(guard, shape fingerprint)`` plan.
+interpretive implementation of Section VII: every output node is an
+``XmlNode`` with a Dewey number and a provenance entry, every shape edge
+re-dispatches on the child's kind, and the serializer then walks the
+finished forest a second time.  None of that dispatch depends on the
+data — it depends only on the *target shape*, which is fixed per
+``(guard, shape fingerprint)`` plan.
 
 :func:`compile_render` therefore walks the target shape **once at
-plan-compile time** and generates a specialized Python function for it:
+plan-compile time** and generates a Python function that writes the
+output as escaped XML text, depth first and in document order — the
+paper's "stream the output node by node (in document order)" — with no
+output tree at all:
 
-* the shape recursion is unrolled into straight-line per-edge blocks
-  (no kind dispatch, no recursion, no ``_Instance`` wrappers — output
-  nodes and their join anchors live in parallel lists);
-* every instance list's **anchor data type is resolved statically**
-  (a backed child anchors on its source type, a NEW wrapper on its
-  leading backed child, placeholders inherit the parent's anchor), so
-  the self-pair / cross-join / broadcast join forms are chosen at
-  compile time instead of per render;
-* closest-pair **join levels and cardinalities are precomputed** from
-  the adorned shape's per-type counts (the same counts that are part of
-  the shape fingerprint, so they are plan-stable) and recorded on the
-  artifact for ``EXPLAIN ANALYZE``;
-* RESTRICT filters are **fused into the emit loop** as an id-set
-  intersection built once per edge;
-* output nodes are created via ``XmlNode.__new__`` plus direct slot
-  stores, skipping the constructor, and leaf types skip their output
-  lists entirely (their instances are only ever appended to parents).
+* the shape recursion is unrolled into nested loops, one per shape edge,
+  so an instance's children are written right after its start tag;
+* every edge's **closest-join form is resolved statically** from the
+  anchor data type of its parent instances (a backed type anchors on its
+  source, a NEW wrapper on its leading backed child, placeholders
+  inherit the parent's anchor): broadcast, self-pair, a probe of the
+  memoized ``closest_pair_map``, or that probe filtered by the RESTRICT
+  survivor set (memoized per anchor);
+* an edge fetches its candidate sequence when the first parent instance
+  needs it, so ``nodes_read``, ``joins``, block reads and the simulated
+  costs are the interpreter's;
+* attribute children go into the start tag and an element with neither
+  text nor element children is written ``<x/>``, so the text equals
+  ``serialize(render(shape, index).forest)`` byte for byte;
+* ``rows_by_type`` is tallied per matched list, and the traced
+  ``render.join`` spans and counters are emitted after the walk in the
+  interpreter's (shape pre-order) sequence, from the unique parent
+  anchors recorded only while tracing.
 
 The generated function is ``exec``'d once, stored on the
-:class:`~repro.cache.CompiledPlan`, and reused by every plan-cache hit:
-a warm render runs the specialized code with **zero interpretation**.
-
-Safety: the function binds only plan-stable values — ``DataType`` is
-value-equal across index epochs, node sequences are fetched through
+:class:`~repro.cache.CompiledPlan`, and reused by every plan-cache hit.
+It keeps all per-call state in its locals, so the serving pool's threads
+share one plan safely.  It binds only plan-stable values: ``DataType``
+is value-equal across index epochs, node sequences are fetched through
 ``index.nodes_of`` at render time (so lazy loading, block-I/O charging
-and the id()-keyed join memos keep working), and per-type counts are
-covered by the shape fingerprint that keys the cache.  Output is
-byte-identical to the interpreter, including ``nodes_read`` /
-``nodes_written`` / ``joins`` counters, ``rows_by_type``, provenance,
-and the traced ``render.join`` spans (the parity suites and the
-Hypothesis suite in ``tests/engine`` pin this down).
+and the id()-keyed join memos keep working), and the per-type counts
+behind the placeholder decision are covered by the shape fingerprint
+that keys the cache.  The output forest is never built on this path; a
+caller that asks for it gets the interpreter's, rendered on first use
+(:class:`~repro.engine.render.RenderResult`).
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs import tracer as obs
-from repro.engine.render import RenderResult
+from repro.engine.render import RenderResult, leading_backed_child, render
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType
-from repro.xmltree.dewey import Dewey
-from repro.xmltree.node import NodeKind, XmlForest, XmlNode
+from repro.xmltree.node import NodeKind
+from repro.xmltree.serializer import escape_attr
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.closeness.index import BaseIndex
 
-
-class RenderCompileError(Exception):
-    """The shape walker hit a construct it could not specialize."""
+#: Inline ``escape_text``: three ``str.replace`` calls, no function call.
+_ESCAPE = '.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")'
 
 
 class CompiledRender:
-    """A specialized render function for one ``(guard, shape)`` plan.
+    """A specialized XML text emitter for one ``(guard, shape)`` plan.
 
-    ``fn(index)`` produces a :class:`RenderResult` byte-identical to
-    ``render(shape, index)``.  ``source_code`` is the generated Python
-    (kept for debugging and the test suite), ``edge_plans`` the
-    per-edge join plan recorded for ``EXPLAIN ANALYZE``.
+    :meth:`run` returns a :class:`RenderResult` whose ``text`` is
+    byte-identical to ``serialize(render(shape, index).forest)`` and
+    whose counters equal the interpreter's; :meth:`stream` writes the
+    same text into a file-like object chunk by chunk.
+    ``source_code`` is the generated Python (kept for debugging and the
+    test suite), ``edge_plans`` the per-edge join plan recorded for
+    ``EXPLAIN ANALYZE``.
     """
 
     __slots__ = ("fn", "source_code", "shape", "edge_plans", "fused_filters")
@@ -91,7 +97,41 @@ class CompiledRender:
         self.fused_filters = fused_filters
 
     def run(self, index: "BaseIndex") -> RenderResult:
-        return self.fn(index)
+        parts: list[str] = []
+        result = self._execute(index, parts.append)
+        result.text = "".join(parts)
+        return self._sized(result, _utf8_len(result.text))
+
+    def stream(self, index: "BaseIndex", out) -> RenderResult:
+        """Write the rendered XML into ``out`` as it is produced."""
+        size = 0
+
+        def write(chunk: str) -> None:
+            nonlocal size
+            size += _utf8_len(chunk)
+            out.write(chunk)
+
+        result = self._execute(index, write)
+        return self._sized(result, size)
+
+    def _execute(self, index: "BaseIndex", write) -> RenderResult:
+        written, read, joins, rows = self.fn(index, write)
+        obs.count("render.nodes_emitted", written)
+        obs.count("render.nodes_read", read)
+        obs.count("render.joins", joins)
+        result = RenderResult(build=partial(render, self.shape, index))
+        result.nodes_written = written
+        result.nodes_read = read
+        result.joins = joins
+        result.rows_by_type = rows
+        result.compiled = True
+        return result
+
+    @staticmethod
+    def _sized(result: RenderResult, size: int) -> RenderResult:
+        result.bytes_out = size
+        obs.observe("render.bytes_out", size)
+        return result
 
     def describe(self) -> str:
         joins = sum(1 for e in self.edge_plans if e["kind"] in ("join", "self"))
@@ -101,8 +141,12 @@ class CompiledRender:
         )
 
 
+def _utf8_len(text: str) -> int:
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
 def compile_render(shape: Shape, index: "BaseIndex") -> CompiledRender:
-    """Generate and ``exec`` a specialized renderer for ``shape``."""
+    """Generate and ``exec`` a specialized emitter for ``shape``."""
     generator = _Codegen(shape, index)
     source_code = generator.generate()
     namespace = dict(generator.env)
@@ -132,49 +176,111 @@ def try_compile_render(shape: Shape, index: "BaseIndex") -> Optional[CompiledRen
         return None
 
 
+# -- helpers the generated code calls ---------------------------------------
+
+
+def _discard(_chunk: str) -> None:
+    """Sink for an attribute instance's subtree: counted, never written."""
+
+
+def _attributes(write, name: str, nodes) -> bool:
+    """Write the attributes among ``nodes`` into the open start tag.
+
+    Returns whether ``nodes`` also holds an element (one type's sequence
+    can mix both kinds, e.g. ``<a id="1"><id>2</id></a>``).
+    """
+    elements = False
+    for node in nodes:
+        if node.kind is NodeKind.ATTRIBUTE:
+            write(f' {name}="{escape_attr(node.text)}"')
+        else:
+            elements = True
+    return elements
+
+
+def _surviving(partners: list, allowed: set[int]) -> list:
+    """The partners that pass a RESTRICT filter."""
+    return [node for node in partners if id(node) in allowed]
+
+
+class _Edge:
+    """One shape edge with its statically resolved dispatch.
+
+    ``kind`` is ``backed`` (copies of joined source nodes), ``wrap`` (a
+    NEW wrapper per joined leading-child node), ``leading`` (a wrapper's
+    leading child, 1:1 with the wrapper's anchor) or ``single`` (one
+    empty element per parent: a placeholder or a childless-source NEW).
+    ``form`` is the closest-join form of ``backed`` and ``wrap`` edges.
+    """
+
+    __slots__ = ("child", "e", "kind", "form", "holder", "lead")
+
+    def __init__(self, child, e, kind, form=None, holder=None, lead=None):
+        self.child = child
+        self.e = e
+        self.kind = kind
+        self.form = form
+        #: The vertex whose source is fetched and whose RESTRICT filter
+        #: applies (the child itself, or a wrapper's leading child).
+        self.holder = holder
+        self.lead = lead
+
+
 class _Codegen:
-    """Walks the target shape once and emits the specialized source."""
+    """Walks the target shape once and emits the specialized source.
+
+    Per edge ``e`` the generated locals are ``_c<e>`` (candidates,
+    ``None`` until fetched), ``_m<e>`` (one parent's matches), ``_n<e>``
+    (a child instance), ``r<e>`` (the child type's rows) and, depending
+    on the form, ``_g<e>`` (pair-map probe), ``_A<e>`` (candidates hold
+    attributes) and ``_f<e>``/``_w<e>`` (RESTRICT memo, survivor ids).
+    """
 
     def __init__(self, shape: Shape, index: "BaseIndex"):
         self.shape = shape
         self.index = index
-        self.lines: list[str] = []
         self.env: dict[str, object] = {
-            "_RenderResult": RenderResult,
-            "_XmlForest": XmlForest,
-            "_X": XmlNode,
-            "_nw": XmlNode.__new__,
-            "_DW": Dewey,
-            "_dnw": Dewey.__new__,
-            "_EL": NodeKind.ELEMENT,
+            "_AT": NodeKind.ATTRIBUTE,
+            "_kind": attrgetter("kind"),
+            "_nog": {}.get,
+            "_at": _attributes,
+            "_keep": _surviving,
+            "_discard": _discard,
             "_span": obs.span,
             "_count": obs.count,
             "_observe": obs.observe,
             "_enabled": obs.enabled,
         }
-        self._list_ids = 0
-        self._const_ids = 0
+        self.body: list[str] = []
+        #: Prologue initializations of the per-edge locals.
+        self.locals: list[str] = []
+        #: Rows of 1:1 edges, derived after the walk (in pre-order).
+        self.derived: list[str] = []
+        #: Post-walk trace blocks of the joined edges (in pre-order).
+        self.spans: list[str] = []
+        #: (row local, id() of the shape type) per shape type.
+        self.rows: list[tuple[str, int]] = []
+        self._ids = 0
         self.edge_plans: list[dict] = []
         self.fused_filters = 0
 
     # -- small emission helpers -------------------------------------------
 
     def emit(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
+        self.body.append("    " * indent + text)
 
-    def fresh_list(self) -> int:
-        self._list_ids += 1
-        return self._list_ids
+    def fresh(self) -> int:
+        self._ids += 1
+        return self._ids
 
     def const(self, prefix: str, value: object) -> str:
-        self._const_ids += 1
-        name = f"{prefix}{self._const_ids}"
+        name = f"{prefix}{len(self.env)}"
         self.env[name] = value
         return name
 
-    def _counts(self, anchor: Optional[DataType], source: DataType) -> tuple[int, int]:
-        anchors = self.index.count_of(anchor) if anchor is not None else 0
-        return anchors, self.index.count_of(source)
+    def _row(self, shape_type: ShapeType, e: int) -> None:
+        self.locals.append(f"r{e} = 0")
+        self.rows.append((f"r{e}", id(shape_type)))
 
     def _note_edge(
         self,
@@ -186,7 +292,8 @@ class _Codegen:
         level = None
         anchor_rows = child_rows = 0
         if source is not None:
-            anchor_rows, child_rows = self._counts(anchor, source)
+            anchor_rows = self.index.count_of(anchor) if anchor is not None else 0
+            child_rows = self.index.count_of(source)
             if anchor is not None and kind == "join":
                 level = self.index.closest_lca_level(anchor, source)
         self.edge_plans.append(
@@ -201,479 +308,319 @@ class _Codegen:
             }
         )
 
-    # -- node construction snippets ---------------------------------------
-
-    def _make_backed(self, indent: int, name_const: str, parent_expr: str) -> None:
-        """Copy source node ``_n`` under ``parent_expr`` as ``_t``."""
-        self.emit(
-            indent,
-            f"_t = _nw(_X); _t.kind = _n.kind; _t.name = {name_const}; "
-            f"_t.text = _n.text; _t.children = []; _t.parent = {parent_expr}; "
-            f"prov[id(_t)] = _n",
-        )
-
-    def _make_empty(self, indent: int, name_const: str, parent_expr: str) -> None:
-        """A fresh empty element (NEW wrapper or placeholder) as ``_t``."""
-        self.emit(
-            indent,
-            f"_t = _nw(_X); _t.kind = _EL; _t.name = {name_const}; "
-            f"_t.text = ''; _t.children = []; _t.parent = {parent_expr}",
-        )
-
-    def _hoist_parent(self, indent: int) -> None:
-        """Per-parent locals for numbered appends under ``_po``."""
-        self.emit(indent, "_pc = _po.children; _pp = _po.dewey._parts")
-
-    def _append_child(self, indent: int, extra: str = "") -> None:
-        """Append ``_t`` under ``_po`` and assign its Dewey inline.
-
-        Emission is strictly top-down — a parent's identifier is final
-        before any of its children exist, and children lists only ever
-        grow in document order — so the sibling ordinal is simply the
-        list length at append time and the whole ``renumber()`` pass is
-        compiled away.  Requires :meth:`_hoist_parent` in scope.
-        """
-        self.emit(
-            indent,
-            "_pc.append(_t); _dd = _dnw(_DW); _dd._parts = _pp + (len(_pc),); "
-            f"_t.dewey = _dd{extra}",
-        )
-
-    def _append_root(self, indent: int, extra: str = "") -> None:
-        """Append ``_t`` as the next forest root, numbered inline."""
-        self.emit(
-            indent,
-            "_fr.append(_t); _dd = _dnw(_DW); _dd._parts = (len(_fr),); "
-            f"_t.dewey = _dd{extra}",
-        )
-
-    def _tally(self, indent: int, shape_type: ShapeType, count_expr: str) -> None:
-        key = self.const("R", id(shape_type))
-        self.emit(indent, f"nw += {count_expr}")
-        self.emit(indent, f"rows[{key}] = rows.get({key}, 0) + {count_expr}")
-
-    def _fetch_candidates(
-        self, indent: int, shape_type: ShapeType, source: DataType
-    ) -> str:
-        """Fetch (and RESTRICT-filter) a source sequence into ``_c``."""
-        type_const = self.const("D", source)
-        self.emit(indent, f"_c = _no({type_const})")
-        self.emit(indent, "nr += len(_c)")
-        if shape_type.restrict_filter is not None:
-            filter_const = self.const("F", shape_type.restrict_filter)
-            self.emit(indent, f"_c = _rp(_c, {type_const}, {filter_const})")
+    def _fetch(self, indent: int, e: int, holder: ShapeType) -> str:
+        """Fetch (and RESTRICT-filter) ``holder``'s sequence into ``_c<e>``."""
+        source = self.const("D", holder.source)
+        self.emit(indent, f"_c{e} = _no({source})")
+        self.emit(indent, f"nr += len(_c{e})")
+        if holder.restrict_filter is not None:
+            restriction = self.const("F", holder.restrict_filter)
+            self.emit(indent, f"_c{e} = _rp(_c{e}, {source}, {restriction})")
             self.fused_filters += 1
-        return type_const
+        return source
 
     # -- entry point --------------------------------------------------------
 
     def generate(self) -> str:
-        self.emit(0, "")  # def header patched in below, once consts exist
-        self.emit(1, "result = _RenderResult(_XmlForest())")
-        self.emit(1, "prov = result.provenance")
-        self.emit(1, "rows = result.rows_by_type")
-        self.emit(1, "_fr = result.forest.roots")
-        self.emit(1, "_no = index.nodes_of")
-        self.emit(1, "_rp = index.restrict_pass")
-        self.emit(1, "_pm = index.closest_pair_map")
-        self.emit(1, "_tr = _enabled()")
-        self.emit(1, "nr = 0")
-        self.emit(1, "nw = 0")
-        self.emit(1, "nj = 0")
         for root in self.shape.roots():
             self._emit_root(root)
-        self.emit(1, "result.nodes_written = nw")
-        self.emit(1, "result.nodes_read = nr")
-        self.emit(1, "result.joins = nj")
-        self.emit(1, "result.compiled = True")
-        self.emit(1, "_count('render.nodes_emitted', nw)")
-        self.emit(1, "_count('render.nodes_read', nr)")
-        self.emit(1, "_count('render.joins', nj)")
-        self.emit(1, "return result")
         # Bind every environment constant as a default argument: the
-        # per-node name/type constants (and the allocator pair) become
-        # LOAD_FAST instead of LOAD_GLOBAL in the hot loops.
+        # per-edge type constants become LOAD_FAST in the hot loops.
         params = ", ".join(f"{name}={name}" for name in self.env)
-        self.lines[0] = f"def _render(index, {params}):"
-        return "\n".join(self.lines) + "\n"
+        head = [
+            f"def _render(index, w, {params}):",
+            "_no = index.nodes_of",
+            "_rp = index.restrict_pass",
+            "_pm = index.closest_pair_map",
+            "_tr = _enabled()",
+            "nr = 0",
+            "nj = 0",
+            '_sep = ""',
+            *self.locals,
+        ]
+        tail = [*self.derived, *self.spans, "rows = {}"]
+        tail += [f"if {row}: rows[{key}] = {row}" for row, key in self.rows]
+        written = " + ".join(row for row, _key in self.rows) or "0"
+        tail.append(f"return {written}, nr, nj, rows")
+        lines = head[:1] + ["    " + line for line in head[1:]] + self.body
+        lines += ["    " + line for line in tail]
+        return "\n".join(lines) + "\n"
 
     # -- roots --------------------------------------------------------------
 
     def _emit_root(self, root: ShapeType) -> None:
-        k = self.fresh_list()
-        name_const = self.const("N", root.out_name)
+        e = self.fresh()
+        self._row(root, e)
         if root.source is not None:
             self._note_edge(root, "root", None, root.source)
-            self._fetch_candidates(1, root, root.source)
-            self.emit(1, f"o{k} = []")
-            self.emit(1, f"a{k} = _c")
-            self.emit(1, "for _n in _c:")
-            self._make_backed(2, name_const, "None")
-            self._append_root(2, extra=f"; o{k}.append(_t)")
-            self.emit(1, f"if o{k}:")
-            self._tally(2, root, f"len(o{k})")
-            self._emit_children(root, k, root.source, 2)
+            self._fetch(1, e, root)
+            self.emit(1, f"r{e} = len(_c{e})")
+            self.emit(1, f"for _n{e} in _c{e}:")
+            self._instance(root, e, f"_n{e}", f"_n{e}", root.source, None, 2, True)
             return
-        leading = self._leading_backed_child(root)
+        leading = leading_backed_child(self.shape, root)
         if leading is None:
             self._note_edge(root, "root-new", None, None)
-            self._make_empty(1, name_const, "None")
-            self._append_root(1)
-            self.emit(1, f"o{k} = [_t]")
-            self.emit(1, f"a{k} = [None]")
-            self._tally(1, root, "1")
-            self._emit_children(root, k, None, 1)
+            self.emit(1, f"r{e} = 1")
+            self._instance(root, e, None, "None", None, None, 1, True)
             return
         # Root NEW wrapping its leading backed child: one wrapper per
-        # leading-child source node (the leading child itself is later
-        # attached through the generic dispatch, self-joining 1:1).
+        # leading-child source node.  Its children use the generic
+        # dispatch (the interpreter's ``_attach_children``), so the
+        # leading child self-joins 1:1 onto the wrapper's anchor.
         self._note_edge(root, "root-wrap", None, leading.source)
-        self._fetch_candidates(1, leading, leading.source)
-        self.emit(1, f"o{k} = []")
-        self.emit(1, f"a{k} = _c")
-        self.emit(1, "for _n in _c:")
-        self._make_empty(2, name_const, "None")
-        self._append_root(2, extra=f"; o{k}.append(_t)")
-        self.emit(1, f"if o{k}:")
-        self._tally(2, root, f"len(o{k})")
-        self._emit_children(root, k, leading.source, 2)
+        self._fetch(1, e, leading)
+        self.emit(1, f"r{e} = len(_c{e})")
+        self.emit(1, f"for _n{e} in _c{e}:")
+        self._instance(root, e, None, f"_n{e}", leading.source, None, 2, True)
 
-    def _leading_backed_child(self, shape_type: ShapeType) -> Optional[ShapeType]:
-        for child in self.shape.children(shape_type):
-            if child.source is not None:
-                return child
-            deeper = self._leading_backed_child(child)
-            if deeper is not None:
-                return deeper
-        return None
+    # -- edge dispatch, resolved statically ----------------------------------
 
-    # -- the recursive descent, unrolled ------------------------------------
+    def _edges(
+        self, parent: ShapeType, anchor: Optional[DataType], lead: Optional[ShapeType]
+    ) -> list[_Edge]:
+        """One :class:`_Edge` per shape edge out of ``parent``.
 
-    def _emit_children(
-        self,
-        parent: ShapeType,
-        k: int,
-        anchor: Optional[DataType],
-        indent: int,
-        new_leading: Optional[ShapeType] = None,
-    ) -> None:
-        """Emit one block per shape edge out of ``parent``.
-
-        ``new_leading`` switches to the NEW-wrapper dispatch of
-        ``_attach_new_children`` (the leading child maps 1:1 and the
-        placeholder short-circuit does not apply) — the interpreter's
-        two dispatch tables, reproduced statically.
+        ``lead`` selects the NEW-wrapper dispatch (the interpreter's
+        ``_attach_new_children``: the leading child maps 1:1 and the
+        placeholder short-circuit does not apply); otherwise this is
+        ``_attach_children``.
         """
+        edges = []
         for child in self.shape.children(parent):
-            if new_leading is not None:
-                if child is new_leading:
-                    self._emit_leading(child, k, indent)
-                elif child.source is not None:
-                    self._emit_backed(child, k, anchor, indent)
-                else:
-                    self._emit_new(child, k, anchor, indent)
-                continue
-            if child.source is not None:
-                if child.synthesized and self.index.count_of(child.source) == 0:
-                    self._emit_placeholder(child, k, anchor, indent)
-                else:
-                    self._emit_backed(child, k, anchor, indent)
-            elif child.synthesized:
-                self._emit_placeholder(child, k, anchor, indent)
+            e = self.fresh()
+            self._row(child, e)
+            if lead is not None and child is lead:
+                self._note_edge(child, "leading", child.source, child.source)
+                edges.append(_Edge(child, e, "leading"))
+            elif child.source is not None and (
+                lead is not None
+                or not child.synthesized
+                or self.index.count_of(child.source) > 0
+            ):
+                edges.append(self._joined(child, e, "backed", child, anchor))
+            elif child.synthesized and lead is None:
+                self._note_edge(child, "placeholder", anchor, None)
+                edges.append(_Edge(child, e, "single"))
             else:
-                self._emit_new(child, k, anchor, indent)
+                wrapped = leading_backed_child(self.shape, child)
+                if wrapped is None:
+                    self._note_edge(child, "new", anchor, None)
+                    edges.append(_Edge(child, e, "single"))
+                else:
+                    edges.append(self._joined(child, e, "wrap", wrapped, anchor))
+        return edges
 
-    def _emit_backed(
-        self, child: ShapeType, k: int, anchor: Optional[DataType], indent: int
-    ) -> None:
-        assert child.source is not None
-        name_const = self.const("N", child.out_name)
-        self._emit_joined(
-            child,
-            k,
-            anchor,
-            indent,
-            source=child.source,
-            filter_holder=child,
-            make=lambda ind, parent_expr, from_anchor: self._make_backed(
-                ind, name_const, parent_expr
-            ),
-            backed=True,
-        )
-
-    def _emit_new(
-        self, child: ShapeType, k: int, anchor: Optional[DataType], indent: int
-    ) -> None:
-        name_const = self.const("N", child.out_name)
-        leading = self._leading_backed_child(child)
-        if leading is None:
-            # One wrapper per parent, inheriting the parent's anchor.
-            m = self.fresh_list()
-            self._note_edge(child, "new", anchor, None)
-            leaf = not self.shape.children(child)
-            if leaf:
-                self.emit(indent, f"for _po in o{k}:")
-                self._hoist_parent(indent + 1)
-                self._make_empty(indent + 1, name_const, "_po")
-                self._append_child(indent + 1)
-                self._tally(indent, child, f"len(o{k})")
-                return
-            self.emit(indent, f"o{m} = []")
-            self.emit(indent, f"a{m} = a{k}")
-            self.emit(indent, f"for _po in o{k}:")
-            self._hoist_parent(indent + 1)
-            self._make_empty(indent + 1, name_const, "_po")
-            self._append_child(indent + 1, extra=f"; o{m}.append(_t)")
-            self._tally(indent, child, f"len(o{m})")
-            self._emit_children(child, m, anchor, indent)
-            return
-        self._emit_joined(
-            child,
-            k,
-            anchor,
-            indent,
-            source=leading.source,
-            filter_holder=leading,
-            make=lambda ind, parent_expr, from_anchor: self._make_empty(
-                ind, name_const, parent_expr
-            ),
-            backed=False,
-            new_leading=leading,
-        )
-
-    def _emit_leading(self, child: ShapeType, k: int, indent: int) -> None:
-        """A NEW wrapper's leading child: 1:1 from the wrapper anchors.
-
-        No fetch, no join — the wrapper was created *from* these nodes
-        (``_attach_new_children``'s first branch).
-        """
-        assert child.source is not None
-        name_const = self.const("N", child.out_name)
-        m = self.fresh_list()
-        self._note_edge(child, "leading", child.source, child.source)
-        leaf = not self.shape.children(child)
-        if leaf:
-            self.emit(indent, f"for _po, _n in zip(o{k}, a{k}):")
-            self._hoist_parent(indent + 1)
-            self._make_backed(indent + 1, name_const, "_po")
-            self._append_child(indent + 1)
-            self._tally(indent, child, f"len(o{k})")
-            return
-        self.emit(indent, f"o{m} = []")
-        self.emit(indent, f"a{m} = a{k}")
-        self.emit(indent, f"for _po, _n in zip(o{k}, a{k}):")
-        self._hoist_parent(indent + 1)
-        self._make_backed(indent + 1, name_const, "_po")
-        self._append_child(indent + 1, extra=f"; o{m}.append(_t)")
-        self._tally(indent, child, f"len(o{m})")
-        self._emit_children(child, m, child.source, indent)
-
-    def _emit_placeholder(
-        self, child: ShapeType, k: int, anchor: Optional[DataType], indent: int
-    ) -> None:
-        """TYPE-FILLed: one empty element per parent, anchor inherited."""
-        name_const = self.const("N", child.out_name)
-        m = self.fresh_list()
-        self._note_edge(child, "placeholder", anchor, None)
-        leaf = not self.shape.children(child)
-        if leaf:
-            self.emit(indent, f"for _po in o{k}:")
-            self._hoist_parent(indent + 1)
-            self._make_empty(indent + 1, name_const, "_po")
-            self._append_child(indent + 1)
-            self._tally(indent, child, f"len(o{k})")
-            return
-        self.emit(indent, f"o{m} = []")
-        self.emit(indent, f"a{m} = a{k}")
-        self.emit(indent, f"for _po in o{k}:")
-        self._hoist_parent(indent + 1)
-        self._make_empty(indent + 1, name_const, "_po")
-        self._append_child(indent + 1, extra=f"; o{m}.append(_t)")
-        self._tally(indent, child, f"len(o{m})")
-        self._emit_children(child, m, anchor, indent)
-
-    # -- the three closest-join forms, chosen statically ---------------------
-
-    def _emit_joined(
+    def _joined(
         self,
         child: ShapeType,
-        k: int,
+        e: int,
+        kind: str,
+        holder: ShapeType,
         anchor: Optional[DataType],
-        indent: int,
-        source: DataType,
-        filter_holder: ShapeType,
-        make,
-        backed: bool,
-        new_leading: Optional[ShapeType] = None,
-    ) -> None:
-        """Candidates of ``source`` joined against parent list ``k``.
+    ) -> _Edge:
+        """A joined edge: candidates of ``holder.source`` against the anchors.
 
-        Three statically-distinguished forms (the interpreter re-derives
-        this per render from the runtime anchor types):
-
-        * ``anchor is None`` — every parent gets every candidate, no
-          join is counted (``_join`` returns early on no anchors);
-        * ``anchor == source`` — the self-pair: each parent wraps its
-          own anchor, bypassing any RESTRICT intersection;
+        * no anchor type — every parent gets every candidate and no join
+          is counted (the interpreter's ``_join`` returns early);
+        * anchor type == source — the self-pair: each parent gets its own
+          anchor, bypassing any RESTRICT intersection;
         * otherwise — the memoized closest-pair map, intersected with
-          the RESTRICT survivor set when the edge carries a filter.
+          the RESTRICT survivor set when the holder carries a filter.
         """
-        # Span label: the interpreter attributes a NEW wrapper's join to
-        # the *leading backed child* it wraps, not the wrapper itself.
-        name_const = self.const("N", filter_holder.out_name)
-        restricted = filter_holder.restrict_filter is not None
-        leaf = not self.shape.children(child)
-        m = self.fresh_list()
-        child_anchor = source  # produced instances anchor on the matched node
+        source = holder.source
+        form = "broadcast" if anchor is None else "self" if anchor == source else "join"
+        self._note_edge(child, form, anchor, source)
+        lead = holder if kind == "wrap" else None
+        return _Edge(child, e, kind, form, holder, lead)
 
-        if anchor is None:
-            self._note_edge(child, "broadcast", None, source)
-            self._fetch_candidates(indent, filter_holder, source)
-            if leaf:
-                self.emit(indent, "if _c:")
-                self.emit(indent + 1, f"for _po in o{k}:")
-                self._hoist_parent(indent + 2)
-                self.emit(indent + 2, "for _n in _c:")
-                make(indent + 3, "_po", False)
-                self._append_child(indent + 3)
-                self._tally(indent + 1, child, f"len(o{k}) * len(_c)")
-                return
-            self.emit(indent, f"o{m} = []")
-            self.emit(indent, f"a{m} = []")
-            self.emit(indent, "if _c:")
-            self.emit(indent + 1, f"_oa = o{m}.append; _aa = a{m}.append")
-            self.emit(indent + 1, f"for _po in o{k}:")
-            self._hoist_parent(indent + 2)
-            self.emit(indent + 2, "for _n in _c:")
-            make(indent + 3, "_po", False)
-            self._append_child(indent + 3, extra="; _oa(_t); _aa(_n)")
-            self.emit(indent, f"if o{m}:")
-            self._tally(indent + 1, child, f"len(o{m})")
-            self._emit_children(
-                child, m, child_anchor, indent + 1, new_leading=new_leading
-            )
-            return
+    # -- one instance, depth first -------------------------------------------
 
-        if anchor == source:
-            # Wrapping a node of the same type: 1:1, anchors are their
-            # own closest partners, RESTRICT does not intersect.
-            self._note_edge(child, "self", anchor, source)
-            self._fetch_candidates(indent, filter_holder, source)
-            self.emit(indent, "if _c:")
-            self.emit(indent + 1, "nj += 1")
-            # All join bookkeeping is trace-only: a disabled tracer costs
-            # this edge a single truth test.
-            self.emit(indent + 1, "if _tr:")
-            self.emit(indent + 2, f"_u = len({{id(_x) for _x in a{k}}})")
-            self.emit(indent + 2, f"with _span('render.join', child={name_const}) as _js:")
-            self.emit(indent + 3, "pass")
-            self.emit(indent + 2, "_count('join.comparisons', _u + len(_c))")
-            self.emit(indent + 2, "_observe('join.pairs', _u)")
-            self.emit(
-                indent + 2, "_js.annotate(anchors=_u, candidates=len(_c), pairs=_u)"
-            )
-            if leaf:
-                self.emit(indent + 1, f"for _po, _n in zip(o{k}, a{k}):")
-                self._hoist_parent(indent + 2)
-                make(indent + 2, "_po", True)
-                self._append_child(indent + 2)
-                self._tally(indent + 1, child, f"len(o{k})")
-                return
-            self.emit(indent + 1, f"o{m} = []")
-            self.emit(indent + 1, f"a{m} = a{k}")
-            self.emit(indent + 1, f"for _po, _n in zip(o{k}, a{k}):")
-            self._hoist_parent(indent + 2)
-            make(indent + 2, "_po", True)
-            self._append_child(indent + 2, extra=f"; o{m}.append(_t)")
-            self._tally(indent + 1, child, f"len(o{m})")
-            self._emit_children(
-                child, m, child_anchor, indent + 1, new_leading=new_leading
-            )
-            return
+    def _instance(
+        self,
+        shape_type: ShapeType,
+        k: int,
+        node: Optional[str],
+        anchor: str,
+        anchor_type: Optional[DataType],
+        lead: Optional[ShapeType],
+        i: int,
+        root: bool = False,
+    ) -> None:
+        """Write one instance of ``shape_type`` and, recursively, its subtree.
 
-        # The general closest join against the memoized full pair map.
-        self._note_edge(child, "join", anchor, source)
-        anchor_const = self.const("D", anchor)
-        source_const = self._fetch_candidates(indent, filter_holder, source)
-        if not leaf:
-            self.emit(indent, f"o{m} = []")
-            self.emit(indent, f"a{m} = []")
-        self.emit(indent, "if _c:")
-        self.emit(indent + 1, "nj += 1")
-        if restricted:
-            # A RESTRICT edge intersects each anchor's partner list with
-            # the survivor set once per *unique* anchor (repeated anchors
-            # share the filtered copy), so the pre-pass map stays.
-            self.emit(indent + 1, f"_uni = {{id(_x) for _x in a{k}}}")
-            self.emit(indent + 1, "_pmap = {}")
-            self.emit(
-                indent + 1, f"with _span('render.join', child={name_const}) as _js:"
-            )
-            self.emit(indent + 2, f"_fg = _pm({anchor_const}, {source_const}).get")
-            self.emit(indent + 2, "_alw = {id(_x) for _x in _c}")
-            self.emit(indent + 2, "for _aid in _uni:")
-            self.emit(indent + 3, "_m = _fg(_aid)")
-            self.emit(indent + 3, "if not _m:")
-            self.emit(indent + 4, "continue")
-            self.emit(indent + 3, "_m = [_x for _x in _m if id(_x) in _alw]")
-            self.emit(indent + 3, "if not _m:")
-            self.emit(indent + 4, "continue")
-            self.emit(indent + 3, "_pmap[_aid] = _m")
-            self.emit(indent + 1, "if _tr:")
-            self.emit(indent + 2, "_pr = 0")
-            self.emit(indent + 2, "for _m in _pmap.values():")
-            self.emit(indent + 3, "_pr += len(_m)")
-            self.emit(indent + 2, "_count('join.comparisons', len(_uni) + len(_c))")
-            self.emit(indent + 2, "_observe('join.pairs', _pr)")
-            self.emit(
-                indent + 2,
-                "_js.annotate(anchors=len(_uni), candidates=len(_c), pairs=_pr)",
-            )
-            self.emit(indent + 1, "_pg = _pmap.get")
+        ``node`` names the local holding the copied source node (``None``
+        for an empty NEW/placeholder element), ``anchor`` the expression
+        for the instance's join anchor, whose data type is
+        ``anchor_type``.
+        """
+        edges = self._edges(shape_type, anchor_type, lead)
+        joined = [edge for edge in edges if edge.form in ("self", "join")]
+        for edge in edges:
+            if edge.form is not None:
+                self._emit_fetch(i, edge, anchor_type)
+        if joined:
+            self.locals.append(f"_u{k} = set()")
+            self.emit(i, f"if _tr: _u{k}.add(id({anchor}))")
+        for edge in edges:
+            if edge.form is not None:
+                self._emit_match(i, edge, anchor)
+                self.emit(i, f"r{edge.e} += len(_m{edge.e})")
+            else:
+                self.derived.append(f"r{edge.e} = r{k}")
+
+        # ``always``: a placeholder or NEW child guarantees an element
+        # child, so the tag is never self-closing; otherwise ``_h<k>``
+        # records whether any matched child is an element.
+        name = shape_type.out_name
+        always = any(edge.kind == "single" for edge in edges)
+        self.emit(i, f"w(_sep + {'<' + name!r})" if root else f"w({'<' + name!r})")
+        if root:
+            self.emit(i, '_sep = "\\n"')
+        if not always:
+            self.emit(i, f"_h{k} = False")
+        for edge in edges:
+            self._emit_attributes(i, edge, anchor, always, k)
+        text = "'>'"
+        if node is not None:
+            self.emit(i, f"_t{k} = {node}.text")
+            text = f"'>' + _t{k}{_ESCAPE}"
+        close = f"w({'</' + name + '>'!r})"
+        if always:
+            self.emit(i, f"w({text})")
         else:
-            # No filter: probe the memoized map directly in the emit loop.
-            # The unique-anchor walk (comparisons / pairs accounting) is
-            # trace-only, so an untraced render pays one dict probe per
-            # parent and nothing else.
-            self.emit(indent + 1, f"_pg = _pm({anchor_const}, {source_const}).get")
-            self.emit(indent + 1, "if _tr:")
-            self.emit(indent + 2, f"_uni = {{id(_x) for _x in a{k}}}")
+            opened = f"_h{k}" if node is None else f"_t{k} or _h{k}"
+            self.emit(i, f"w({text} if {opened} else '/>')")
+            close = f"if {opened}: {close}"
+        for edge in edges:
+            self._emit_element(i, edge, anchor, anchor_type, k)
+        self.emit(i, close)
+
+    def _emit_fetch(self, i: int, edge: _Edge, anchor: Optional[DataType]) -> None:
+        """Fetch the edge's candidates once, when the first parent needs them."""
+        e = edge.e
+        self.locals.append(f"_c{e} = None")
+        self.emit(i, f"if _c{e} is None:")
+        source = self._fetch(i + 1, e, edge.holder)
+        if edge.kind == "backed":
+            self.locals.append(f"_A{e} = False")
+            self.emit(i + 1, f"_A{e} = _AT in map(_kind, _c{e})")
+        if edge.form == "self":
+            self.emit(i + 1, f"if _c{e}: nj += 1")
+        elif edge.form == "join":
+            self.locals.append(f"_g{e} = _nog")
+            self.emit(i + 1, f"if _c{e}:")
+            self.emit(i + 2, "nj += 1")
+            anchor_const = self.const("D", anchor)
+            self.emit(i + 2, f"_g{e} = _pm({anchor_const}, {source}).get")
+            if edge.holder.restrict_filter is not None:
+                self.locals += [f"_f{e} = {{}}", f"_w{e} = None"]
+                self.emit(i + 2, f"_w{e} = {{id(_x) for _x in _c{e}}}")
+
+    def _emit_match(self, i: int, edge: _Edge, anchor: str) -> None:
+        """Bind ``_m<e>``: this parent's matches on the edge."""
+        e = edge.e
+        if edge.form == "broadcast":
+            self.emit(i, f"_m{e} = _c{e}")
+        elif edge.form == "self":
+            self.emit(i, f"_m{e} = ({anchor},) if _c{e} else ()")
+        elif edge.holder.restrict_filter is None:
+            self.emit(i, f"_m{e} = _g{e}(id({anchor}), ())")
+        else:
+            self.emit(i, f"_m{e} = _f{e}.get(id({anchor}))")
+            self.emit(i, f"if _m{e} is None:")
             self.emit(
-                indent + 2, f"with _span('render.join', child={name_const}) as _js:"
+                i + 1,
+                f"_m{e} = _f{e}[id({anchor})] = _keep(_g{e}(id({anchor}), ()), _w{e})",
             )
-            self.emit(indent + 3, "pass")
-            self.emit(indent + 2, "_pr = 0")
-            self.emit(indent + 2, "for _aid in _uni:")
-            self.emit(indent + 3, "_m = _pg(_aid)")
-            self.emit(indent + 3, "if _m:")
-            self.emit(indent + 4, "_pr += len(_m)")
-            self.emit(indent + 2, "_count('join.comparisons', len(_uni) + len(_c))")
-            self.emit(indent + 2, "_observe('join.pairs', _pr)")
-            self.emit(
-                indent + 2,
-                "_js.annotate(anchors=len(_uni), candidates=len(_c), pairs=_pr)",
-            )
-        if leaf:
-            self.emit(indent + 1, "_cnt = 0")
-            self.emit(indent + 1, f"for _po, _pa in zip(o{k}, a{k}):")
-            self.emit(indent + 2, "_m = _pg(id(_pa))")
-            self.emit(indent + 2, "if _m:")
-            self._hoist_parent(indent + 3)
-            self.emit(indent + 3, "for _n in _m:")
-            make(indent + 4, "_po", False)
-            self._append_child(indent + 4)
-            self.emit(indent + 3, "_cnt += len(_m)")
-            self.emit(indent + 1, "if _cnt:")
-            self._tally(indent + 2, child, "_cnt")
+
+    def _emit_attributes(
+        self, i: int, edge: _Edge, anchor: str, always: bool, k: int
+    ) -> None:
+        """Attributes into the start tag; note whether elements follow."""
+        e = edge.e
+        name = repr(edge.child.out_name)
+        if edge.kind == "backed":
+            if always:
+                self.emit(i, f"if _A{e}: _at(w, {name}, _m{e})")
+            else:
+                self.emit(i, f"if _m{e} and (not _A{e} or _at(w, {name}, _m{e})): _h{k} = True")
+        elif edge.kind == "leading":
+            written = f"_at(w, {name}, ({anchor},))"
+            self.emit(i, written if always else f"if {written}: _h{k} = True")
+        elif edge.kind == "wrap" and not always:
+            self.emit(i, f"if _m{e}: _h{k} = True")
+
+    def _emit_element(
+        self,
+        i: int,
+        edge: _Edge,
+        anchor: str,
+        anchor_type: Optional[DataType],
+        k: int,
+    ) -> None:
+        """The edge's element children, each with its subtree."""
+        e = edge.e
+        child = edge.child
+        if edge.form in ("self", "join"):
+            self._register_span(edge, f"_u{k}")
+        leaf = not self.shape.children(child)
+        if edge.kind == "single":
+            if leaf:
+                self.emit(i, f"w({'<' + child.out_name + '/>'!r})")
+            else:
+                self._instance(child, e, None, anchor, anchor_type, None, i)
             return
-        self.emit(indent + 1, f"_oa = o{m}.append; _aa = a{m}.append")
-        self.emit(indent + 1, f"for _po, _pa in zip(o{k}, a{k}):")
-        self.emit(indent + 2, "_m = _pg(id(_pa))")
-        self.emit(indent + 2, "if _m:")
-        self._hoist_parent(indent + 3)
-        self.emit(indent + 3, "for _n in _m:")
-        make(indent + 4, "_po", False)
-        self._append_child(indent + 4, extra="; _oa(_t); _aa(_n)")
-        self.emit(indent, f"if o{m}:")
-        self._tally(indent + 1, child, f"len(o{m})")
-        self._emit_children(child, m, child_anchor, indent + 1, new_leading=new_leading)
+        if edge.kind == "wrap":
+            self.emit(i, f"for _n{e} in _m{e}:")
+            self._instance(child, e, None, f"_n{e}", edge.holder.source, edge.lead, i + 1)
+            return
+        # A copied source node: written here unless it is an attribute
+        # (already in the start tag), whose subtree is still walked for
+        # the counters but written to ``_discard``.
+        if edge.kind == "leading":
+            node, is_attribute = anchor, f"{anchor}.kind is _AT"
+        else:
+            node, is_attribute = f"_n{e}", f"_A{e} and _n{e}.kind is _AT"
+            self.emit(i, f"for _n{e} in _m{e}:")
+            i += 1
+        if leaf:
+            name = child.out_name
+            self.emit(i, f"if not ({is_attribute}):")
+            self.emit(i + 1, f"_t{e} = {node}.text")
+            self.emit(
+                i + 1,
+                f"w({'<' + name + '>'!r} + _t{e}{_ESCAPE} + {'</' + name + '>'!r} "
+                f"if _t{e} else {'<' + name + '/>'!r})",
+            )
+            return
+        self.emit(i, f"_s{e} = w")
+        self.emit(i, f"if {is_attribute}: w = _discard")
+        self._instance(child, e, node, node, child.source, None, i)
+        self.emit(i, f"w = _s{e}")
+
+    def _register_span(self, edge: _Edge, parents: str) -> None:
+        """The traced ``render.join`` block of one joined edge.
+
+        Registered as the element pass reaches the edge, which is the
+        interpreter's pre-order; the pairs are recounted from the
+        unique parent anchors recorded during the walk.
+        """
+        e = edge.e
+        label = repr(edge.holder.out_name)
+        block = [f"if _tr and _c{e}:"]
+        if edge.form == "self":
+            block.append(f"    _pr = len({parents})")
+        else:
+            probe = (
+                f"_g{e}(_i, ())" if edge.holder.restrict_filter is None else f"_f{e}[_i]"
+            )
+            block += ["    _pr = 0", f"    for _i in {parents}:", f"        _pr += len({probe})"]
+        block += [
+            f"    with _span('render.join', child={label}) as _js:",
+            "        pass",
+            f"    _count('join.comparisons', len({parents}) + len(_c{e}))",
+            "    _observe('join.pairs', _pr)",
+            f"    _js.annotate(anchors=len({parents}), candidates=len(_c{e}), pairs=_pr)",
+        ]
+        self.spans += block

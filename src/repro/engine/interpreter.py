@@ -46,11 +46,20 @@ class TransformResult:
 
     @property
     def forest(self) -> XmlForest:
+        """The output forest; a compiled render builds it on first use."""
         if self.rendered is None:
             raise ValueError("guard was checked, not rendered")
         return self.rendered.forest
 
     def xml(self, indent: int | None = None) -> str:
+        """The output as XML text.
+
+        A compiled render already wrote the compact text; indented output
+        (and every interpreted render) serializes the forest.
+        """
+        rendered = self.rendered
+        if indent is None and rendered is not None and rendered.text is not None:
+            return rendered.text
         return serialize(self.forest, indent=indent)
 
     def label_report(self) -> str:

@@ -9,6 +9,11 @@ first access by running the closest join for one shape edge *restricted
 to its own anchor*; queries that touch a fraction of the output only
 ever pay for that fraction.
 
+Instances follow the batch renderer's rules exactly (RESTRICT filters,
+self-pairs, NEW wrappers around their leading child, TYPE-FILL
+placeholders), so serializing the virtual roots gives the same text as
+every other renderer.
+
 Virtual nodes implement the slice of the :class:`XmlNode` interface the
 XQuery evaluator navigates (``name``, ``text``, ``children``,
 ``is_element``/``is_attribute``, ``iter_subtree``, ``copy_subtree``,
@@ -22,6 +27,7 @@ from typing import Optional
 
 from repro.closeness.index import BaseIndex
 from repro.engine.interpreter import Interpreter
+from repro.engine.render import leading_backed_child
 from repro.shape.shape import Shape
 from repro.shape.types import ShapeType
 from repro.xmltree.node import NodeKind, NodeLike, XmlForest, XmlNode
@@ -30,7 +36,9 @@ from repro.xmltree.node import NodeKind, NodeLike, XmlForest, XmlNode
 class VirtualNode(NodeLike):
     """A lazily materializing output node."""
 
-    __slots__ = ("_view", "shape_type", "anchor", "parent", "_children", "dewey")
+    __slots__ = (
+        "_view", "shape_type", "anchor", "parent", "copy", "lead", "_children", "dewey"
+    )
 
     def __init__(
         self,
@@ -38,11 +46,19 @@ class VirtualNode(NodeLike):
         shape_type: ShapeType,
         anchor: Optional[XmlNode],
         parent: Optional["VirtualNode"],
+        copy: bool = False,
+        lead: Optional[ShapeType] = None,
     ):
         self._view = view
         self.shape_type = shape_type
+        #: The source node joins are anchored on.
         self.anchor = anchor
         self.parent = parent
+        #: True for a copy of ``anchor``; False for an empty NEW wrapper
+        #: or TYPE-FILL placeholder element.
+        self.copy = copy
+        #: A NEW wrapper's leading child, which maps 1:1 onto the anchor.
+        self.lead = lead
         self._children: Optional[list["VirtualNode"]] = None
         self.dewey = None
 
@@ -54,9 +70,7 @@ class VirtualNode(NodeLike):
 
     @property
     def kind(self) -> NodeKind:
-        if self.anchor is not None and self.shape_type.source is not None:
-            return self.anchor.kind
-        return NodeKind.ELEMENT
+        return self.anchor.kind if self.copy else NodeKind.ELEMENT
 
     @property
     def is_element(self) -> bool:
@@ -68,9 +82,7 @@ class VirtualNode(NodeLike):
 
     @property
     def text(self) -> str:
-        if self.anchor is not None and self.shape_type.source is not None:
-            return self.anchor.text
-        return ""
+        return self.anchor.text if self.copy else ""
 
     @property
     def children(self) -> list["VirtualNode"]:
@@ -138,7 +150,15 @@ class LogicalTransform:
         if self._roots is None:
             self._roots = []
             for root_type in self.shape.roots():
-                for anchor in self._instances_of(root_type):
+                if root_type.source is not None:
+                    for node in self._candidates(root_type):
+                        self._roots.append(VirtualNode(self, root_type, node, None, True))
+                    continue
+                # A NEW root wraps each node of its leading child, or
+                # renders once; its children use the generic rules.
+                leading = leading_backed_child(self.shape, root_type)
+                anchors = [None] if leading is None else self._candidates(leading)
+                for anchor in anchors:
                     self._roots.append(VirtualNode(self, root_type, anchor, None))
             self.nodes_materialized += len(self._roots)
         return self._roots
@@ -164,24 +184,54 @@ class LogicalTransform:
         """Compute one virtual node's children (one closest join slice)."""
         children: list[VirtualNode] = []
         for child_type in self.shape.children(node.shape_type):
-            for anchor in self._partners(node, child_type):
-                children.append(VirtualNode(self, child_type, anchor, node))
+            children += self._instances(node, child_type)
         self.nodes_materialized += len(children)
         return children
 
-    def _partners(self, node: VirtualNode, child_type: ShapeType) -> list[XmlNode]:
-        if child_type.source is None:
-            # NEW wrapper: one instance per partner of its leading child;
-            # prototype restriction: a NEW type shares its parent anchor.
-            return [node.anchor]
-        if node.anchor is None:
-            return self._instances_of(child_type)
-        return self.index.closest_partners(node.anchor, child_type.source)
+    def _instances(self, node: VirtualNode, child: ShapeType) -> list[VirtualNode]:
+        """``child``'s instances under ``node``, by the batch renderer's rules."""
+        anchor = node.anchor
+        if child is node.lead:
+            return [VirtualNode(self, child, anchor, node, True)]
+        if child.source is not None and (
+            node.lead is not None
+            or not child.synthesized
+            or self.index.nodes_of(child.source)
+        ):
+            return [
+                VirtualNode(self, child, partner, node, True)
+                for partner in self._partners(anchor, child)
+            ]
+        leading = None
+        if node.lead is not None or not child.synthesized:
+            leading = leading_backed_child(self.shape, child)
+        if leading is None:
+            # A placeholder or a NEW type with no backed descendant: one
+            # empty element, anchored where its parent is.
+            return [VirtualNode(self, child, anchor, node)]
+        return [
+            VirtualNode(self, child, partner, node, lead=leading)
+            for partner in self._partners(anchor, leading)
+        ]
 
-    def _instances_of(self, shape_type: ShapeType) -> list[XmlNode]:
-        if shape_type.source is None:
-            return []
-        return self.index.nodes_of(shape_type.source)
+    def _partners(self, anchor: Optional[XmlNode], holder: ShapeType) -> list[XmlNode]:
+        """The closest ``holder`` nodes of one anchor (all, without one)."""
+        candidates = self._candidates(holder)
+        if anchor is None or not candidates:
+            return candidates
+        if self.index.type_of(anchor) == holder.source:
+            return [anchor]
+        partners = self.index.closest_partners(anchor, holder.source)
+        if holder.restrict_filter is None:
+            return partners
+        allowed = {id(candidate) for candidate in candidates}
+        return [partner for partner in partners if id(partner) in allowed]
+
+    def _candidates(self, holder: ShapeType) -> list[XmlNode]:
+        nodes = self.index.nodes_of(holder.source)
+        if holder.restrict_filter is None:
+            return nodes
+        return self.index.restrict_pass(nodes, holder.source, holder.restrict_filter)
 
 
 def guarded_query_lazy(source: XmlForest, guard: str, query: str):

@@ -25,8 +25,8 @@ Special shape types:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.closeness.index import DocumentIndex
 from repro.obs import tracer as obs
@@ -35,21 +35,52 @@ from repro.shape.types import ShapeType
 from repro.xmltree.node import NodeKind, XmlForest, XmlNode
 
 
-@dataclass
 class RenderResult:
-    """The output forest plus bookkeeping the tests and benches use."""
+    """The output of one render plus bookkeeping the tests and benches use.
 
-    forest: XmlForest
-    #: id(output node) -> source node (absent for NEW/synthesized nodes).
-    provenance: dict[int, XmlNode] = field(default_factory=dict)
-    nodes_written: int = 0
-    nodes_read: int = 0
-    joins: int = 0
-    #: id(shape type) -> number of output instances ("actual rows").
-    rows_by_type: dict[int, int] = field(default_factory=dict)
-    #: True when produced by a specialized plan renderer
-    #: (:mod:`repro.engine.compile`) rather than this interpreter.
-    compiled: bool = False
+    This interpreter builds ``forest`` and ``provenance`` directly.  A
+    compiled render (:mod:`repro.engine.compile`) writes XML ``text``
+    instead and keeps ``build``, which renders the forest with this
+    interpreter the first time ``forest`` or ``provenance`` is read.
+    """
+
+    def __init__(
+        self,
+        forest: Optional[XmlForest] = None,
+        build: Optional[Callable[[], "RenderResult"]] = None,
+    ):
+        #: (forest, provenance) once built.
+        self._tree = None if forest is None else (forest, {})
+        self._build = build
+        #: The serialized output of a compiled render (indent ``None``).
+        self.text: Optional[str] = None
+        #: UTF-8 length of ``text`` (or of what a stream wrote).
+        self.bytes_out = 0
+        self.nodes_written = 0
+        self.nodes_read = 0
+        self.joins = 0
+        #: id(shape type) -> number of output instances ("actual rows").
+        self.rows_by_type: dict[int, int] = {}
+        #: True when produced by a specialized plan renderer
+        #: (:mod:`repro.engine.compile`) rather than this interpreter.
+        self.compiled = False
+
+    @property
+    def forest(self) -> XmlForest:
+        return self._materialized()[0]
+
+    @property
+    def provenance(self) -> dict[int, XmlNode]:
+        """id(output node) -> source node (absent for NEW/synthesized nodes)."""
+        return self._materialized()[1]
+
+    def _materialized(self) -> tuple[XmlForest, dict[int, XmlNode]]:
+        tree = self._tree
+        if tree is None:
+            with obs.span("render.materialize"):
+                oracle = self._build()
+            tree = self._tree = (oracle.forest, oracle.provenance)
+        return tree
 
     def source_of(self, node: XmlNode) -> Optional[XmlNode]:
         return self.provenance.get(id(node))
@@ -67,6 +98,21 @@ class _Instance:
     anchor: Optional[XmlNode]
 
 
+def leading_backed_child(shape: Shape, shape_type: ShapeType) -> Optional[ShapeType]:
+    """First source-backed type under a NEW type (depth-first).
+
+    A NEW type has one instance per closest node of this child (its
+    wrapping semantics); ``None`` means it renders one empty element.
+    """
+    for child in shape.children(shape_type):
+        if child.source is not None:
+            return child
+        deeper = leading_backed_child(shape, child)
+        if deeper is not None:
+            return deeper
+    return None
+
+
 def render(shape: Shape, index: DocumentIndex) -> RenderResult:
     """Render the data of ``index`` in the target ``shape`` as a forest."""
     return _Renderer(shape, index).run()
@@ -77,6 +123,7 @@ class _Renderer:
         self.shape = shape
         self.index = index
         self.result = RenderResult(XmlForest())
+        self.provenance = self.result.provenance
 
     def run(self) -> RenderResult:
         for root in self.shape.roots():
@@ -100,7 +147,7 @@ class _Renderer:
 
     def _make(self, shape_type: ShapeType, source: XmlNode) -> _Instance:
         out = XmlNode(shape_type.out_name, source.kind, source.text)
-        self.result.provenance[id(out)] = source
+        self.provenance[id(out)] = source
         self.result.nodes_written += 1
         self._tally(shape_type)
         return _Instance(out, source)
@@ -123,21 +170,11 @@ class _Renderer:
     def _root_instances(self, root: ShapeType) -> list[_Instance]:
         if root.source is not None:
             return [self._make(root, node) for node in self._source_nodes(root)]
-        leading = self._leading_backed_child(root)
+        leading = leading_backed_child(self.shape, root)
         if leading is None:
             return [self._make_new(root, None)]
         anchors = self._source_nodes(leading)
         return [self._make_new(root, anchor) for anchor in anchors]
-
-    def _leading_backed_child(self, shape_type: ShapeType) -> Optional[ShapeType]:
-        """First source-backed type under a NEW type (depth-first)."""
-        for child in self.shape.children(shape_type):
-            if child.source is not None:
-                return child
-            deeper = self._leading_backed_child(child)
-            if deeper is not None:
-                return deeper
-        return None
 
     # -- recursive descent over shape edges -----------------------------------
 
@@ -247,7 +284,7 @@ class _Renderer:
 
     def _attach_new(self, child_type: ShapeType, parents: list[_Instance]) -> None:
         """NEW mid-shape: one wrapper per closest leading-child instance."""
-        leading = self._leading_backed_child(child_type)
+        leading = leading_backed_child(self.shape, child_type)
         if leading is None:
             wrappers = []
             for parent in parents:

@@ -21,6 +21,7 @@ from typing import Iterator, Optional, Sequence
 from repro.cache import CompiledPlan, PlanCache, shape_fingerprint
 from repro.closeness.index import BaseIndex
 from repro.engine.interpreter import Interpreter, TransformResult
+from repro.engine.render import RenderResult, render
 from repro.errors import DocumentNotFoundError, ReadOnlyDatabaseError, StorageError
 from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
@@ -32,6 +33,7 @@ from repro.storage.shredder import shred
 from repro.storage.stats import CostModel, SystemStats
 from repro.xmltree.node import XmlForest, XmlNode
 from repro.xmltree.parser import parse_forest
+from repro.xmltree.serializer import serialize
 
 
 class Database:
@@ -296,19 +298,27 @@ class Database:
         with TransformPool(self, workers=workers, deadline=deadline) as pool:
             return pool.transform_many(requests)
 
-    def stream_transform(self, name: str, guard: str, out) -> "object":
-        """Compile a guard and stream the rendered XML into ``out``.
+    def stream_transform(self, name: str, guard: str, out) -> RenderResult:
+        """Compile a guard and write the rendered XML into ``out``.
 
-        The streaming renderer never materializes the output forest, so
-        this is the lowest-memory way to transform a stored document
-        into a file or socket.  Returns the stream statistics.
+        The compiled emitter writes its chunks into ``out`` as it walks,
+        without an output forest, so this is the lowest-memory way to
+        transform a stored document into a file or socket.  With
+        ``compile_renders`` off the interpreter renders and the forest
+        is serialized into ``out``.  Returns the render's counters
+        (``bytes_out`` is the UTF-8 size written).
         """
-        from repro.engine.stream import render_stream
-
         compiled = self.compile(name, guard)
-        stats = render_stream(compiled.target_shape, self.index(name), out)
-        self.stats.charge_cpu(4 * stats.nodes_written)
-        return stats
+        index = self.index(name)
+        if compiled.compiled_render is not None:
+            rendered = compiled.compiled_render.stream(index, out)
+        else:
+            rendered = render(compiled.target_shape, index)
+            text = serialize(rendered.forest)
+            out.write(text)
+            rendered.bytes_out = len(text.encode("utf-8"))
+        self.stats.charge_cpu(4 * rendered.nodes_written)
+        return rendered
 
     def _charge_compile(self, name: str) -> None:
         """Compilation cost model: the loss analysis is all-pairs over types."""
@@ -577,6 +587,10 @@ class Database:
         the paper's cold-cache methodology.
         """
         self.pool.drop_cache()
+        self._drop_indexes()
+
+    def _drop_indexes(self) -> None:
+        """Forget loaded type sequences, join memos and compiled plans."""
         with self._index_lock:
             for index in self._indexes.values():
                 index.drop_cache()
@@ -596,6 +610,11 @@ class Database:
             self.pool.drop_cache()
         self._file.close()
         self._lock.release()
+        # Each index and this handle refer to each other, so without
+        # this a closed handle's type sequences and join maps would wait
+        # for a cyclic garbage collection; freed now, their memory is
+        # reused at once.
+        self._drop_indexes()
 
     def abandon(self) -> None:
         """Simulate process death: drop descriptors and the writer lock

@@ -41,6 +41,7 @@ from repro.analysis.evolve import (
 )
 from repro.errors import XMorphError
 
+from tests.conftest import examples
 from tests.strategies import TAGS, documents
 
 #: Candidate rearrangements; only applications that type-check as
@@ -91,7 +92,7 @@ def canonical(xml_text):
 
 
 class TestVerdictParity:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(
         documents(max_depth=3, max_children=3),
         st.sampled_from(EVOLUTION_GUARDS),
@@ -127,7 +128,7 @@ class TestVerdictParity:
             f"diff:\n{verdict.evolution_text}"
         )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(
         documents(max_depth=3, max_children=3),
         st.sampled_from(EVOLUTION_GUARDS),
@@ -154,7 +155,7 @@ class TestVerdictParity:
             f"verdict said broken but {guard!r} ran on the evolved document"
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(documents(max_depth=3, max_children=3))
     def test_identity_evolution_never_degrades(self, forest):
         # Evolving a document to itself must leave every runnable guard

@@ -17,9 +17,25 @@ by the same author name "A" so instance (c) groups them under a single
 the grouping of authors by name").
 """
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.xmltree import parse_document
+
+#: ``HYPOTHESIS_PROFILE=deep`` runs the parity property suites (those
+#: whose settings go through :func:`examples`) with about 1,500 examples
+#: each; CI runs them so.  Without it every suite keeps its own budget.
+settings.register_profile("deep", max_examples=1500)
+DEEP = os.environ.get("HYPOTHESIS_PROFILE") == "deep"
+if DEEP:
+    settings.load_profile("deep")
+
+
+def examples(default: int) -> int:
+    """A property suite's ``max_examples``: ``default``, or the deep profile's."""
+    return settings.get_profile("deep").max_examples if DEEP else default
 
 FIG1A = """
 <data>

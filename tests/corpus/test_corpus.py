@@ -22,15 +22,24 @@ class TestCorpus:
         assert str(result.loss.guard_type) == case.loss, result.loss.pretty()
 
     def test_streaming_agrees(self, case):
-        """Every corpus case must stream to the same output."""
-        from repro.engine.stream import render_to_string
-        from repro.engine.view import ViewGenerationError
+        """Every corpus case renders to the same text through the
+        compiled emitter, written chunk by chunk into a stream."""
+        import io
+
+        from repro.engine.compile import compile_render
 
         interpreter = repro.Interpreter(repro.parse_document(case.document))
         compiled = interpreter.compile(case.guard)
-        streamed = render_to_string(compiled.target_shape, interpreter.index)
+        sink = io.StringIO()
+        compile_render(compiled.target_shape, interpreter.index).stream(
+            interpreter.index, sink
+        )
+        streamed = sink.getvalue()
         expected = repro.parse_forest(case.expected)
         assert repro.parse_forest(streamed).canonical() == expected.canonical()
+        assert streamed == repro.transform(
+            repro.parse_document(case.document), case.guard
+        ).xml()
 
 
 def test_corpus_names_unique():

@@ -6,8 +6,10 @@ claim directly: random small documents over a tiny tag alphabet (the
 shared ``tests.strategies`` corpus — small alphabets maximize repeated
 types and interesting closest joins), random guards over the same
 alphabet, and for every plan that specializes, the compiled output must
-match the interpreter node for node — names, text, Dewey identifiers,
-provenance size and every render counter.
+match the interpreter byte for byte — the emitted XML text against the
+serialized interpreter forest — and on every render counter; the
+forest a compiled result builds on demand carries the interpreter's
+Dewey identifiers and provenance.
 
 Guards that fail to type-check on a particular document are out of
 scope (both engines never run); plans where specialization declines
@@ -17,32 +19,14 @@ back, so one sentinel test pins that the common forms do compile.
 """
 
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 import repro
 from repro.engine.interpreter import Interpreter
 from repro.errors import XMorphError
 from repro.xmltree.serializer import serialize
 
-from tests.strategies import TAGS, documents
-
-GUARD_FORMS = [
-    "MORPH {x}",
-    "MORPH {x} [ {y} ]",
-    "MORPH {x} [ {y} [ {z} ] ]",
-    "MORPH {x} [ {y} {z} ]",
-    "MUTATE {x} [ {y} ]",
-    "MORPH (RESTRICT {x} [ {y} ])",
-    "MUTATE (NEW w) [ {x} {y} ]",
-    "TYPE-FILL MORPH {x} [ {y} ]",
-]
-
-
-@st.composite
-def guards(draw):
-    form = draw(st.sampled_from(GUARD_FORMS))
-    x, y, z = (draw(st.sampled_from(TAGS)) for _ in range(3))
-    return form.format(x=x, y=y, z=z)
+from tests.conftest import examples
+from tests.strategies import documents, guards
 
 
 def compile_pair(forest, guard):
@@ -76,14 +60,14 @@ def dewey_walk(forest):
 
 class TestCompiledParityProperty:
     @given(forest=documents(), guard=guards())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=examples(120), deadline=None)
     def test_byte_identical(self, forest, guard):
         pair = compile_pair(forest, guard)
         assume(pair is not None)
         res_i, res_c = pair
         ri, rc = res_i.rendered, res_c.rendered
         assert rc.compiled and not ri.compiled
-        assert serialize(rc.forest) == serialize(ri.forest)
+        assert rc.text == serialize(ri.forest)
         assert dewey_walk(rc.forest) == dewey_walk(ri.forest)
         assert rc.nodes_written == ri.nodes_written
         assert rc.nodes_read == ri.nodes_read
@@ -107,7 +91,7 @@ class TestCompiledParityProperty:
 
 class TestEvolutionInvalidationProperty:
     @given(forest=documents())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_non_compatible_verdicts_drop_compiled_plans(self, forest):
         """After ``apply_evolution``, a surviving cached plan still
         carries its compiled renderer and a dropped one is gone — no

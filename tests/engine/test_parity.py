@@ -1,12 +1,13 @@
-"""Batch/stream parity: both renderers must produce identical output.
+"""Interpreter/emitter parity: both renderers must produce identical output.
 
-The streaming renderer (:mod:`repro.engine.stream`) is specified as a
-serialization of exactly the forest the batch renderer
-(:mod:`repro.engine.render`) builds.  This suite pins that property
-across the ``examples/guards/`` corpus, the workload generators, and
-the special shape types (RESTRICT, NEW, TYPE-FILL) — including the
-TYPE-FILL placeholder case for a *source-backed* synthesized type with
-an empty source sequence, which the streaming renderer used to drop.
+The compiled text emitter (:mod:`repro.engine.compile`) is specified as
+a serialization of exactly the forest the batch renderer
+(:mod:`repro.engine.render`) builds.  This suite pins that property,
+byte for byte, across the ``examples/guards/`` corpus, the workload
+generators, and the special shape types (RESTRICT, NEW, TYPE-FILL) —
+including the TYPE-FILL placeholder case for a *source-backed*
+synthesized type with an empty source sequence, which the former
+hand-written streaming renderer used to drop.
 """
 
 import os
@@ -16,7 +17,7 @@ import pytest
 import repro
 from repro.closeness import DocumentIndex
 from repro.engine.render import render
-from repro.engine.stream import render_to_string
+from repro.engine.compile import compile_render
 from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import ShapeType
@@ -45,11 +46,17 @@ def corpus_guards() -> list[str]:
 def assert_parity(forest, guard):
     interpreter = repro.Interpreter(forest)
     result = interpreter.transform(guard)
-    streamed = render_to_string(result.target_shape, interpreter.index)
-    assert parse_forest(streamed).canonical() == result.forest.canonical(), (
-        f"batch/stream divergence for {guard!r}:\n"
-        f"batch:  {serialize(result.forest)}\nstream: {streamed}"
+    streamed = emitted_text(result.target_shape, interpreter.index)
+    assert parse_forest(streamed).canonical() == result.forest.canonical()
+    assert streamed == serialize(result.forest), (
+        f"interpreter/emitter divergence for {guard!r}:\n"
+        f"batch:   {serialize(result.forest)}\nemitted: {streamed}"
     )
+
+
+def emitted_text(shape, index) -> str:
+    """The compiled emitter's text for ``shape`` over ``index``."""
+    return compile_render(shape, index).run(index).text
 
 
 class TestGuardCorpusParity:
@@ -102,7 +109,7 @@ class TestSpecialTypesParity:
         assert_parity(fig1a, "CAST (TYPE-FILL MORPH author [ name isbn ])")
 
     def test_type_fill_source_backed_empty_sequence(self):
-        """The case the streaming renderer used to drop silently.
+        """The case the former streaming renderer dropped silently.
 
         A synthesized type *with* a source whose node sequence is empty
         must render one placeholder per parent in both renderers.  Such
@@ -129,7 +136,8 @@ class TestSpecialTypesParity:
         shape.add_edge(root, child, Card(0, None))
 
         batch = render(shape, index)
-        streamed = render_to_string(shape, index)
+        streamed = emitted_text(shape, index)
         assert parse_forest(streamed).canonical() == batch.forest.canonical()
+        assert streamed == serialize(batch.forest)
         # And the placeholders genuinely appear, once per parent instance.
         assert streamed.count("<phantom/>") == 2

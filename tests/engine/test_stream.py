@@ -1,22 +1,30 @@
-"""Tests for the streaming renderer: must agree with the batch renderer."""
+"""Tests for streaming output: the compiled emitter written into a stream
+must agree with the batch renderer."""
+
+from io import StringIO
 
 import pytest
 
 import repro
-from repro.closeness import DocumentIndex
-from repro.engine.stream import render_stream, render_to_string
+from repro.engine.compile import compile_render
 from repro.workloads import generate_dblp
 from repro.xmltree import parse_forest
-from io import StringIO
+from repro.xmltree.serializer import serialize
+
+
+def render_stream(shape, index, out):
+    """Stream ``shape`` over ``index`` into ``out``; the render's counters."""
+    return compile_render(shape, index).stream(index, out)
 
 
 def both_renders(forest, guard):
-    """(batch forest, streamed text) for the same guard."""
+    """(batch result, streamed text) for the same guard."""
     interpreter = repro.Interpreter(forest)
     result = interpreter.transform(f"CAST ({guard})")
     compiled = interpreter.compile(f"CAST ({guard})")
-    streamed = render_to_string(compiled.target_shape, interpreter.index)
-    return result, streamed
+    sink = StringIO()
+    render_stream(compiled.target_shape, interpreter.index, sink)
+    return result, sink.getvalue()
 
 
 GUARDS = [
@@ -35,16 +43,19 @@ class TestAgreesWithBatchRenderer:
     def test_same_output_fig1a(self, fig1a, guard):
         result, streamed = both_renders(fig1a, guard)
         assert parse_forest(streamed).canonical() == result.forest.canonical()
+        assert streamed == serialize(result.forest)
 
     @pytest.mark.parametrize("guard", GUARDS[:4])
     def test_same_output_fig1c(self, fig1c, guard):
         result, streamed = both_renders(fig1c, guard)
         assert parse_forest(streamed).canonical() == result.forest.canonical()
+        assert streamed == serialize(result.forest)
 
     def test_dblp_medium_guard(self):
         forest = generate_dblp(120)
         result, streamed = both_renders(forest, "MORPH author [ title [ year ] ]")
         assert parse_forest(streamed).canonical() == result.forest.canonical()
+        assert streamed == serialize(result.forest)
 
     def test_attributes_stream_into_start_tags(self):
         forest = repro.parse_document('<r><item id="i1"><price>3</price></item></r>')
@@ -59,15 +70,18 @@ class TestStreamingBehaviour:
         sink = StringIO()
         stats = render_stream(compiled.target_shape, interpreter.index, sink)
         assert stats.nodes_written == 4  # 2 authors + 2 names
-        assert stats.characters == len(sink.getvalue())
+        assert stats.bytes_out == len(sink.getvalue().encode())
         assert stats.joins >= 1
 
     def test_indented_output_parses(self, fig1a):
-        interpreter = repro.Interpreter(fig1a)
-        compiled = interpreter.compile("MORPH author [ name book [ title ] ]")
-        text = render_to_string(compiled.target_shape, interpreter.index, indent=2)
+        """Indented output is the serializer's: a compiled result builds
+        its forest on demand for ``xml(indent=...)``."""
+        interpreter = repro.Interpreter(fig1a, compile_renders=True)
+        result = interpreter.transform("MORPH author [ name book [ title ] ]")
+        assert result.rendered.compiled
+        text = result.xml(indent=2)
         assert "\n" in text
-        assert parse_forest(text).canonical() == interpreter.transform(
+        assert parse_forest(text).canonical() == repro.Interpreter(fig1a).transform(
             "MORPH author [ name book [ title ] ]"
         ).forest.canonical()
 

@@ -1,14 +1,16 @@
 """Cross-module integration: realistic end-to-end pipelines."""
 
+import io
+
 import pytest
 
 import repro
 from repro.baseline import ExistStore
 from repro.engine.inference import infer_guard
-from repro.engine.stream import render_to_string
 from repro.storage import Database
 from repro.workloads import generate_dblp, generate_nasa, generate_xmark
 from repro.xmltree import parse_forest
+from repro.xmltree.serializer import serialize
 
 
 class TestStoreGuardQueryPipeline:
@@ -37,11 +39,12 @@ class TestStoreGuardQueryPipeline:
         forest = generate_dblp(150)
         with Database(str(tmp_path / "s.db")) as db:
             db.store_document("dblp", forest)
-            index = db.index("dblp")
-            compiled = db.compile("dblp", "CAST MORPH author [ title ]")
-            streamed = render_to_string(compiled.target_shape, index)
+            sink = io.StringIO()
+            db.stream_transform("dblp", "CAST MORPH author [ title ]", sink)
+            streamed = sink.getvalue()
             batch = db.transform("dblp", "CAST MORPH author [ title ]")
             assert parse_forest(streamed).canonical() == batch.forest.canonical()
+            assert streamed == serialize(batch.forest)
 
 
 class TestInferThenGuard:

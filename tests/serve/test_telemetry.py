@@ -200,6 +200,9 @@ class TestErrorCounters:
             with TransformPool(db, workers=2) as pool:
                 with pytest.raises(Exception):
                     pool.transform_many([("doc", "SLOW")], deadline=0.05)
+                # Release the parked worker before the pool's shutdown
+                # joins it, or the join waits out its own timeout.
+                gate.set()
         finally:
             gate.set()
             db.transform = real

@@ -36,6 +36,7 @@ from repro.storage import tables
 from repro.xmltree.node import XmlForest, element
 
 from tests.storage.test_update_parity import snapshot
+from tests.conftest import examples
 from tests.strategies import (
     TAGS,
     _SKEWED_VALUES,
@@ -107,7 +108,7 @@ def _render_all(db):
 
 
 class TestRandomEditSequences:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(base=base_documents, seeds=op_seeds)
     def test_parity_fsck_and_render_agreement(self, tmp_path_factory, base, seeds):
         ops = materialize(seeds, base)
@@ -140,7 +141,7 @@ class TestRandomEditSequences:
         report = fsck(incremental_path)
         assert report.ok, report.problems
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     @given(base=skewed_documents(max_depth=2), seeds=op_seeds)
     def test_batch_equals_singleton_batches(self, tmp_path_factory, base, seeds):
         """One N-op batch and N single-op batches reach the same state."""

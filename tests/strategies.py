@@ -21,6 +21,33 @@ from repro.xmltree.node import XmlForest, XmlNode, element
 
 TAGS = ["a", "b", "c", "d"]
 
+#: Guard templates over ``TAGS`` reaching every render form: plain and
+#: nested MORPHs, self-pairs, RESTRICT at the root and on an edge, NEW
+#: wrappers (at the root, mid-shape, childless) and TYPE-FILL
+#: placeholders (``q`` is never a tag, so it is always synthesized).
+GUARD_FORMS = [
+    "MORPH {x}",
+    "MORPH {x} [ {y} ]",
+    "MORPH {x} [ {y} [ {z} ] ]",
+    "MORPH {x} [ {y} {z} ]",
+    "MUTATE {x} [ {y} ]",
+    "MORPH (RESTRICT {x} [ {y} ])",
+    "MORPH {x} [ (RESTRICT {y} [ {z} ]) ]",
+    "MUTATE (NEW w) [ {x} {y} ]",
+    "MORPH (NEW w) [ {x} [ {y} ] ]",
+    "MORPH {x} [ (NEW w) [ {y} ] (NEW v) ]",
+    "TYPE-FILL MORPH {x} [ {y} ]",
+    "TYPE-FILL MORPH {x} [ q [ {y} ] ]",
+]
+
+
+@st.composite
+def guards(draw) -> str:
+    """A guard from :data:`GUARD_FORMS` with random tags filled in."""
+    form = draw(st.sampled_from(GUARD_FORMS))
+    x, y, z = (draw(st.sampled_from(TAGS)) for _ in range(3))
+    return form.format(x=x, y=y, z=z)
+
 _VALUES = st.sampled_from(["", "x", "y", "hello", "42"])
 
 #: Text distribution for the update suites: heavy on the empty string
