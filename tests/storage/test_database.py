@@ -95,6 +95,19 @@ class TestDocumentLifecycle:
             result = again.transform("a", "MORPH author [ name ]")
             assert len(result.forest.roots) == 2
 
+    def test_close_releases_indexes_and_plans(self, tmp_path):
+        """A closed handle frees its type sequences, join memos and plans
+        at once (an index and its handle refer to each other, so they
+        would otherwise wait for a cyclic collection)."""
+        db = Database(str(tmp_path / "c.db"))
+        db.store_document("a", FIG1A)
+        index = db.index("a")
+        db.transform("a", "MORPH author [ name ]")
+        assert index._sequences and len(db.plan_cache) == 1
+        db.close()
+        assert not index._sequences and not index._pair_maps
+        assert not db._indexes and len(db.plan_cache) == 0
+
 
 class TestDropDocument:
     def test_drop_removes_everything(self, db):
